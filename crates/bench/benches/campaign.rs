@@ -18,9 +18,10 @@ use rv_core::{
     almost_universal_rv, json, par_map, wire, Aur, Budget, Dedicated, FixedPair, Solver,
     StatsAccumulator,
 };
+use rv_geometry::{Angle, Chirality, Vec2};
 use rv_model::{Classification, Instance, TargetClass};
 use rv_numeric::{ratio, Int, Ratio};
-use rv_trajectory::Motion;
+use rv_trajectory::{AgentAttrs, Motion};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -172,6 +173,35 @@ fn bench_hotpath(c: &mut Criterion) {
             black_box(x)
         })
     });
+
+    // The tick core's two regimes over the shared compiled program, 20k
+    // segments each: the reference agent (unit τ, identity frame) and a
+    // skewed one whose clock, frame and wake all differ from it.
+    let compiled = rv_core::compiled_aur();
+    let skewed = AgentAttrs {
+        origin: Vec2::new(3.0, 1.0),
+        phi: Angle::pi_frac(3, 8),
+        chi: Chirality::Minus,
+        tau: ratio(7, 5),
+        speed: ratio(1, 1),
+        wake: ratio(13, 16),
+    };
+    let _ = compiled.cursor().nth(20_000); // materialize outside the timing
+    for (id, attrs) in [
+        ("motion_skewed_20k", skewed),
+        ("motion_ref_20k", AgentAttrs::reference()),
+    ] {
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let mut m = Motion::new(attrs.clone(), compiled.cursor());
+                let mut x = 0.0;
+                for _ in 0..20_000 {
+                    x = m.next().map_or(x, |s| s.from.x);
+                }
+                black_box(x)
+            })
+        });
+    }
 
     // One full engine run at the campaign budget — the unit of work every
     // `campaign/*`, executor, and serve row multiplies.

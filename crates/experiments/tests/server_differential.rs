@@ -21,6 +21,9 @@ use std::time::{Duration, Instant};
 
 /// The worker binary for process-backed transports, built by cargo for
 /// this test run.
+mod common;
+use common::assert_same_records_by_index;
+
 const WORKER: &str = env!("CARGO_BIN_EXE_rv-shard");
 
 fn spec() -> CampaignSpec {
@@ -62,6 +65,15 @@ fn with_worker() -> ServeConfig {
     }
 }
 
+/// A served run's record lines keyed by their wire index.
+fn streamed(run: &CampaignRun) -> Vec<(usize, String)> {
+    run.records
+        .iter()
+        .map(|(i, _)| *i)
+        .zip(run.record_lines.iter().cloned())
+        .collect()
+}
+
 /// The byte-identity check: streamed record lines == locally encoded
 /// record lines (after index reordering), and the decoded report's
 /// to_json == the local stats artifact.
@@ -73,23 +85,10 @@ fn assert_served_matches_local(
     ctx: &str,
 ) {
     let local = spec.run_local(seed, n);
-
-    let mut streamed: Vec<(usize, &String)> = run
-        .records
-        .iter()
-        .map(|(i, _)| *i)
-        .zip(run.record_lines.iter())
+    let want: Vec<(usize, String)> = (0..n)
+        .map(|i| (i, wire::encode_record(i, &local.records[i])))
         .collect();
-    streamed.sort_by_key(|(i, _)| *i);
-    assert_eq!(streamed.len(), n, "{ctx}: record count");
-    for (expect, (index, line)) in streamed.iter().enumerate() {
-        assert_eq!(*index, expect, "{ctx}: exactly-once index coverage");
-        assert_eq!(
-            **line,
-            wire::encode_record(*index, &local.records[*index]),
-            "{ctx}: record line {index} must be byte-identical"
-        );
-    }
+    assert_same_records_by_index(&streamed(run), &want, ctx);
     assert_eq!(
         run.stats.to_json(),
         local.stats.to_json(),
@@ -234,9 +233,12 @@ fn served_cached_campaigns_replay_byte_identically_and_bad_cache_names_are_typed
     );
     let warm = client.run_campaign(&spec(), 42, &req).expect("warm");
     assert_served_matches_local(&warm, &spec(), 42, 48, "cached local (warm)");
-    assert_eq!(
-        cold.record_lines, warm.record_lines,
-        "warm replay streams the same wire bytes"
+    // The cold run streams in completion order, the replay in index
+    // order: the same wire bytes per index, not the same sequence.
+    assert_same_records_by_index(
+        &streamed(&warm),
+        &streamed(&cold),
+        "warm replay streams the same wire bytes",
     );
 
     // Names that try to escape the root — absolute paths, `..`

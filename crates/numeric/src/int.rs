@@ -297,10 +297,17 @@ impl Int {
 /// normalization in this workload fits u64, where the same loop runs on
 /// native words instead of double-word arithmetic.
 pub(crate) fn gcd_u128(a: u128, b: u128) -> u128 {
-    if a <= u64::MAX as u128 && b <= u64::MAX as u128 {
-        return gcd_u64(a as u64, b as u64) as u128;
+    const WORD: u128 = u64::MAX as u128;
+    match (a <= WORD, b <= WORD) {
+        (true, true) => gcd_u64(a as u64, b as u64) as u128,
+        // One Euclidean step folds a wide operand onto a word-sized one
+        // (`gcd(a, b) = gcd(a, b mod a)`): a binary GCD would otherwise
+        // shave the wide side one subtraction at a time, ~100 rounds for
+        // a tick count past 2^64 against a small grid denominator.
+        (true, false) if a != 0 => gcd_u64(a as u64, (b % a) as u64) as u128,
+        (false, true) if b != 0 => gcd_u64(b as u64, (a % b) as u64) as u128,
+        _ => gcd_u128_slow(a, b),
     }
-    gcd_u128_slow(a, b)
 }
 
 fn gcd_u128_slow(mut a: u128, mut b: u128) -> u128 {
@@ -679,6 +686,25 @@ mod tests {
         assert_eq!(Int::ZERO.gcd(&Int::Small(-5)), Int::Small(5));
         let g = big(300).gcd(&big(200));
         assert_eq!(g, big(200));
+    }
+
+    #[test]
+    fn mixed_width_gcd_matches_binary_gcd() {
+        // Word-sized against wide operands (a small grid denominator
+        // against a tick count past 2^64), both orders, zeros included.
+        let mut x: u128 = 0x9e37_79b9_7f4a_7c15;
+        for k in 0..2000u32 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // A shared factor makes most gcds nontrivial.
+            let c = u128::from(k % 96 + 1);
+            let small = ((x >> 64) >> (k % 64 + 8)) * c;
+            let wide = ((x | (1 << 100)) >> (k % 27 + 8)) * c;
+            for (a, b) in [(small, wide), (wide, small), (0, wide), (wide, 0)] {
+                assert_eq!(gcd_u128(a, b), gcd_u128_slow(a, b), "gcd({a}, {b})");
+            }
+        }
     }
 
     #[test]

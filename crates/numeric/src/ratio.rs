@@ -111,6 +111,16 @@ impl Ratio {
         if self.den == Int::ONE {
             return;
         }
+        if let (Int::Small(n), Int::Small(d)) = (&self.num, &self.den) {
+            // Inline operands: the gcd divides both exactly, so two
+            // machine divisions finish the job (no remainder checks).
+            let g = crate::int::gcd_u128(n.unsigned_abs(), d.unsigned_abs()) as i128;
+            if g != 1 {
+                self.num = Int::Small(n / g);
+                self.den = Int::Small(d / g);
+            }
+            return;
+        }
         let g = self.num.gcd(&self.den);
         if g != Int::ONE {
             self.num = self.num.div_rem(&g).0;

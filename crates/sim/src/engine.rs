@@ -1,12 +1,24 @@
 //! The exact event-driven two-agent simulator.
 //!
-//! The two motions are merged on their exact rational event times; within
-//! each interval both agents move with constant velocity, so the first
+//! The two motions are merged on their exact event times; within each
+//! interval both agents move with constant velocity, so the first
 //! crossing of the visibility radius is found in closed form
 //! ([`rv_geometry::first_within`]). There is no time step: a wait of
 //! `2^(15·i²)` local units costs exactly one event, and event *ordering* —
 //! which every correctness argument in the paper depends on — is decided
 //! in exact arithmetic.
+//!
+//! The loop runs on integer ticks ([`TickGrid`], see
+//! `rv_trajectory::kinematics`). Both motions start on one grid that holds
+//! both agents' `τ` and wake times and the time budget, so picking the
+//! segment that ends first is an [`Int`] compare and advancing is a move.
+//! When a motion widens the grid for an off-grid duration, the engine
+//! rescales the other motion, the current instant and the budget by the
+//! same factor; the Section 5 freeze instant (`cur` plus an `f64`
+//! offset) widens all of them the same way. Canonical [`Ratio`]s appear
+//! only at the exits: the meeting's [`SimTime::base`]. Every `f64` time
+//! and offset goes through [`TickGrid::span_f64`], so reports are
+//! bit-identical to computing them from canonical rationals.
 //!
 //! Stop-on-sight: with equal radii the first crossing *is* the rendezvous
 //! (both agents see each other simultaneously and stop). With different
@@ -17,44 +29,59 @@
 use crate::config::{BudgetReason, SimConfig};
 use crate::outcome::{Meeting, Outcome, SimReport, SimTime, TraceSample};
 use rv_geometry::{first_within, min_dist_on_interval, Vec2};
-use rv_numeric::Ratio;
-use rv_trajectory::{AgentAttrs, Instr, Motion, Segment};
+use rv_numeric::{Int, Ratio};
+use rv_trajectory::{AgentAttrs, Instr, Motion, Segment, TickGrid};
 
 struct AgentState<P: Iterator<Item = Instr>> {
     motion: Motion<P>,
-    seg: Segment,
+    seg: Segment<Int>,
     frozen: bool,
 }
 
 impl<P: Iterator<Item = Instr>> AgentState<P> {
-    fn new(attrs: AgentAttrs, program: P) -> (AgentState<P>, u64) {
-        let mut motion = Motion::new(attrs, program);
+    fn new(attrs: AgentAttrs, program: P, grid: &TickGrid) -> AgentState<P> {
+        // rv-lint: allow(hot) — once per run: each motion starts on its
+        // own copy of the shared grid.
+        let mut motion = Motion::on_grid(attrs, program, grid.clone());
         let seg = motion
-            .next()
+            .step()
             .expect("a motion always yields at least the halt segment");
-        (
-            AgentState {
-                motion,
-                seg,
-                frozen: false,
-            },
-            1,
-        )
+        AgentState {
+            motion,
+            seg,
+            frozen: false,
+        }
     }
 
-    /// Position at exact time `cur` (must lie within the current segment).
-    fn pos_at(&self, cur: &Ratio) -> Vec2 {
+    /// Position at tick `cur` (must lie within the current segment).
+    fn pos_at(&self, cur: &Int, grid: &TickGrid) -> Vec2 {
         if self.seg.is_stationary() {
-            // Idle segment: the offset is irrelevant; skip the exact
-            // subtraction (which allocates once clocks go past i128).
+            // Idle segment: the offset is irrelevant; skip the subtraction
+            // (which allocates once clocks go past i128).
             return self.seg.from;
         }
-        let offset = (cur - &self.seg.start).to_f64();
-        self.seg.pos_at_offset(offset)
+        self.seg.pos_at_offset(grid.span_f64(&self.seg.start, cur))
+    }
+
+    /// Moves on to the motion's next segment.
+    fn advance(&mut self) {
+        self.seg = self
+            .motion
+            .step()
+            .expect("finite segments always have a successor");
+    }
+
+    /// Rescales every tick value of this agent by `m` (a grid widening).
+    fn widen(&mut self, m: &Int) {
+        self.motion.widen(m);
+        self.seg.start = &self.seg.start * m;
+        if let Some(end) = self.seg.end.as_mut() {
+            *end = &*end * m;
+        }
     }
 
     /// Replaces the remaining motion with an eternal halt at `pos`/`time`.
-    fn freeze(&mut self, time: Ratio, pos: Vec2) {
+    fn freeze(&mut self, time: Int, pos: Vec2) {
         self.seg = Segment {
             start: time,
             end: None,
@@ -62,6 +89,38 @@ impl<P: Iterator<Item = Instr>> AgentState<P> {
             vel: Vec2::ZERO,
         };
         self.frozen = true;
+    }
+}
+
+/// The engine's own tick values: the grid both motions share, the
+/// current instant and the time budget.
+struct Clock {
+    grid: TickGrid,
+    cur: Int,
+    max_time: Option<Int>,
+}
+
+impl Clock {
+    fn widen(&mut self, m: &Int) {
+        self.grid.widen(m);
+        self.cur = &self.cur * m;
+        if let Some(mt) = self.max_time.as_mut() {
+            *mt = &*mt * m;
+        }
+    }
+
+    /// After `stepped`'s motion widened its grid, carries the engine's
+    /// ticks and `other` onto it.
+    fn follow<PA, PB>(&mut self, stepped: &AgentState<PA>, other: &mut AgentState<PB>)
+    where
+        PA: Iterator<Item = Instr>,
+        PB: Iterator<Item = Instr>,
+    {
+        if stepped.motion.grid() != &self.grid {
+            let m = self.grid.factor_to(stepped.motion.grid());
+            self.widen(&m);
+            other.widen(&m);
+        }
     }
 }
 
@@ -88,6 +147,12 @@ impl Tracer {
             // rv-lint: allow(hot) — one tracer per run, not per event.
             samples: Vec::new(),
         }
+    }
+
+    /// False for `cap == 0` (every campaign run): call sites skip even
+    /// computing a sample's arguments.
+    fn enabled(&self) -> bool {
+        self.cap > 0
     }
 
     fn record(&mut self, time: f64, pos_a: Vec2, pos_b: Vec2) {
@@ -168,9 +233,21 @@ where
         "visibility radii must be positive"
     );
 
-    let (mut a, pulled_a) = AgentState::new(attrs_a, prog_a);
-    let (mut b, pulled_b) = AgentState::new(attrs_b, prog_b);
-    let mut segments: u64 = pulled_a + pulled_b;
+    let grid = TickGrid::covering(
+        [&attrs_a.tau, &attrs_a.wake, &attrs_b.tau, &attrs_b.wake]
+            .into_iter()
+            .chain(cfg.max_time.as_ref()),
+    );
+    let mut clock = Clock {
+        max_time: cfg.max_time.as_ref().map(|mt| grid.ticks(mt)),
+        cur: Int::ZERO,
+        grid,
+    };
+    let mut a = AgentState::new(attrs_a, prog_a, &clock.grid);
+    let mut b = AgentState::new(attrs_b, prog_b, &clock.grid);
+    clock.follow(&a, &mut b);
+    clock.follow(&b, &mut a);
+    let mut segments: u64 = 2;
 
     let r_small = cfg.radius_small();
     let r_big = cfg.radius_big();
@@ -182,7 +259,6 @@ where
     // hunt continues for r_small.
     let mut big_pending = asymmetric;
 
-    let mut cur = Ratio::zero();
     let mut min_dist = f64::INFINITY;
     let mut min_dist_time = 0.0;
     let mut tracer = Tracer::new(cfg.trace_samples);
@@ -200,8 +276,8 @@ where
 
     loop {
         // --- Time budget check at the interval boundary. ---
-        if let Some(mt) = &cfg.max_time {
-            if &cur >= mt {
+        if let Some(mt) = &clock.max_time {
+            if &clock.cur >= mt {
                 return report(
                     Outcome::Budget(BudgetReason::Time),
                     min_dist,
@@ -214,15 +290,15 @@ where
 
         // --- Interval end: earliest of the two segment ends and budget.
         // Everything stays borrowed: the bound is a reference into the
-        // live segments (or the configured cap), and which agent(s) end
-        // the interval is decided here so the advance step below can
-        // `take()` the end instead of re-comparing clones.
+        // live segments (or the budget), and which agent(s) end the
+        // interval is decided here so the advance step below can `take()`
+        // the end instead of re-comparing.
         let (mut a_ends, mut b_ends) = (false, false);
         match (&a.seg.end, &b.seg.end) {
             (None, None) => {}
             (Some(_), None) => a_ends = true,
             (None, Some(_)) => b_ends = true,
-            (Some(ea), Some(eb)) => match ea.cmp_ref(eb) {
+            (Some(ea), Some(eb)) => match ea.cmp(eb) {
                 std::cmp::Ordering::Less => a_ends = true,
                 std::cmp::Ordering::Greater => b_ends = true,
                 std::cmp::Ordering::Equal => {
@@ -231,13 +307,13 @@ where
                 }
             },
         }
-        let seg_bound: Option<&Ratio> = if a_ends {
+        let seg_bound: Option<&Int> = if a_ends {
             a.seg.end.as_ref()
         } else {
             b.seg.end.as_ref()
         };
         let mut time_capped = false;
-        let bound: Option<&Ratio> = match (&cfg.max_time, seg_bound) {
+        let bound: Option<&Int> = match (&clock.max_time, seg_bound) {
             (Some(mt), Some(be)) if be <= mt => Some(be),
             (Some(mt), _) => {
                 time_capped = true;
@@ -247,15 +323,18 @@ where
         };
 
         // --- Geometry of the interval. ---
-        let pa = a.pos_at(&cur);
-        let pb = b.pos_at(&cur);
+        let pa = a.pos_at(&clock.cur, &clock.grid);
+        let pb = b.pos_at(&clock.cur, &clock.grid);
         let rel0 = pb - pa;
         let rel_vel = b.seg.vel - a.seg.vel;
         let dt = match bound {
             None => f64::INFINITY,
-            Some(be) => (be - &cur).to_f64(),
+            Some(be) => clock.grid.span_f64(&clock.cur, be),
         };
-        tracer.record(cur.to_f64(), pa, pb);
+        let unbounded = bound.is_none();
+        if tracer.enabled() {
+            tracer.record(clock.grid.to_f64(&clock.cur), pa, pb);
+        }
 
         // --- Threshold detection. ---
         let detect_r = if big_pending {
@@ -269,13 +348,13 @@ where
             let d = hit_a.dist(hit_b);
             if d < min_dist {
                 min_dist = d;
-                min_dist_time = cur.to_f64() + s;
+                min_dist_time = clock.grid.to_f64(&clock.cur) + s;
             }
             if !big_pending {
                 let time = SimTime {
                     // rv-lint: allow(hot) — rendezvous exit: runs once per
                     // simulation, at the meeting.
-                    base: cur.clone(),
+                    base: clock.grid.to_ratio(clock.cur.clone()),
                     offset: s,
                 };
                 tracer.record_final(time.to_f64(), hit_a, hit_b);
@@ -292,8 +371,16 @@ where
                     tracer,
                 );
             }
-            // Section 5: the far-sighted agent sees first and freezes.
-            let t_hit = &cur + &Ratio::from_f64_exact(s).unwrap_or_else(Ratio::zero);
+            // Section 5: the far-sighted agent sees first and freezes, at
+            // `cur + s` exactly — usually off the grid, which widens.
+            let offset = Ratio::from_f64_exact(s).unwrap_or_else(Ratio::zero);
+            let m = clock.grid.widening_for(&offset);
+            if m != Int::ONE {
+                clock.widen(&m);
+                a.widen(&m);
+                b.widen(&m);
+            }
+            let t_hit = &clock.cur + &clock.grid.ticks(&offset);
             if cfg.radius_a >= cfg.radius_b {
                 // rv-lint: allow(hot) — asymmetric freeze fires at most once
                 // per run (big_pending is cleared right below).
@@ -303,7 +390,7 @@ where
                 b.freeze(t_hit.clone(), hit_b);
             }
             big_pending = false;
-            cur = t_hit;
+            clock.cur = t_hit;
             continue;
         }
 
@@ -311,7 +398,7 @@ where
         let m = min_dist_on_interval(rel0, rel_vel, dt);
         if m.min_dist < min_dist {
             min_dist = m.min_dist;
-            min_dist_time = cur.to_f64() + m.argmin;
+            min_dist_time = clock.grid.to_f64(&clock.cur) + m.argmin;
             // Improvements are exactly the points figure F9 needs; record
             // them (capped like all samples).
             tracer.record(
@@ -322,7 +409,7 @@ where
         }
 
         // --- Advance. ---
-        if bound.is_none() {
+        if unbounded {
             // Both agents halted forever, out of range.
             return report(
                 Outcome::Budget(BudgetReason::BothHalted),
@@ -341,31 +428,23 @@ where
                 tracer,
             );
         }
-        // The ending agent's segment end becomes the new clock by move,
-        // not clone — its segment is replaced right after anyway.
+        // The ending agent's segment end becomes the new clock by move —
+        // its segment is replaced right after anyway. A step may widen
+        // the stepping motion's grid; `follow` carries the rest along.
         if a_ends {
-            cur = a.seg.end.take().expect("a_ends ⇒ end present");
-            a.seg = a
-                .motion
-                .next()
-                .expect("finite segments always have a successor");
-            debug_assert_eq!(a.seg.start, cur);
+            clock.cur = a.seg.end.take().expect("a_ends ⇒ end present");
+            a.advance();
+            clock.follow(&a, &mut b);
+            debug_assert_eq!(a.seg.start, clock.cur);
             segments += 1;
         }
         if b_ends {
-            if a_ends {
-                b.seg = b
-                    .motion
-                    .next()
-                    .expect("finite segments always have a successor");
-            } else {
-                cur = b.seg.end.take().expect("b_ends ⇒ end present");
-                b.seg = b
-                    .motion
-                    .next()
-                    .expect("finite segments always have a successor");
+            if !a_ends {
+                clock.cur = b.seg.end.take().expect("b_ends ⇒ end present");
             }
-            debug_assert_eq!(b.seg.start, cur);
+            b.advance();
+            clock.follow(&b, &mut a);
+            debug_assert_eq!(b.seg.start, clock.cur);
             segments += 1;
         }
         if segments > cfg.max_segments {

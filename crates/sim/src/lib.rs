@@ -2,7 +2,8 @@
 //!
 //! Simulates two mobile agents in the plane until they come within the
 //! visibility radius ("rendezvous") or a budget runs out. Motions are
-//! merged on **exact rational event times** (no time step); within each
+//! merged on **exact event times** — integer ticks of a per-run grid,
+//! canonical rationals at the exits — with no time step; within each
 //! interval the first radius crossing is found in closed form from the
 //! quadratic distance function. Supports per-agent radii (the Section 5
 //! extension), stop-on-sight freezing, distance traces for figures, and

@@ -5,8 +5,9 @@
 //! Algorithm 1 needs (frame rotation, exact truncation by local time,
 //! backtracking, slice-with-waits interleaving) and the kinematic compiler
 //! that turns a program plus private agent attributes into an
-//! absolute-time piecewise-linear [`Segment`] stream with **exact rational
-//! event times**.
+//! absolute-time piecewise-linear [`Segment`] stream with **exact event
+//! times**, kept as integer ticks of a per-run [`TickGrid`] and exposed
+//! as canonical rationals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +19,7 @@ mod program;
 
 pub use compiled::{CompiledProgram, Cursor};
 pub use instr::Instr;
-pub use kinematics::{AgentAttrs, Motion, Segment};
+pub use kinematics::{AgentAttrs, Motion, Segment, TickGrid};
 pub use program::{
     backtrack, lazy, net_local_displacement, rotated, slice_interleave_backtrack, take_local_time,
     total_local_time, BoxProgram, Lazy, TakeLocalTime,
