@@ -12,7 +12,7 @@
 use criterion::{black_box, Criterion};
 use rv_core::batch::{mix_seed, Campaign, RunRecord};
 use rv_core::cache::{CacheKey, CachedExecutor, ResultCache};
-use rv_core::exec::{Executor, LocalExecutor, PoolExecutor, SubprocessExecutor, WorkerCommand};
+use rv_core::exec::{Executor, LocalExecutor, PoolExecutor, WorkerCommand};
 use rv_core::shard::{CampaignSpec, SolverSpec};
 use rv_core::{
     almost_universal_rv, json, par_map, wire, Aur, Budget, Dedicated, FixedPair, Solver,
@@ -342,9 +342,9 @@ fn locate_rv_shard() -> Option<PathBuf> {
 }
 
 /// The executor backends head to head on one seeded campaign: the
-/// in-process threaded engine vs. the subprocess scatter/gather (spawn +
-/// wire round-trip + gather overhead on top of the same simulation
-/// work). The subprocess entries need a release `rv-shard` binary
+/// in-process threaded engine vs. worker processes (spawn + wire
+/// round-trip + gather overhead on top of the same simulation work).
+/// The worker entries need a release `rv-shard` binary
 /// (`cargo build --release -p rv-experiments`, or `RV_SHARD_BIN`);
 /// without one they are skipped loudly so a missing group in the JSON
 /// artifact is explained.
@@ -376,15 +376,18 @@ fn bench_exec_backends(c: &mut Criterion) {
                 // the local backend measures gather overhead rather than
                 // a shards-fold oversubscribed CPU.
                 let threads = (cores / shards).max(1);
-                let exec = SubprocessExecutor::new(
-                    WorkerCommand::new(&worker)
-                        .arg("worker")
-                        .arg("--threads")
-                        .arg(threads.to_string()),
-                )
-                .shards(shards);
+                let command = WorkerCommand::new(&worker)
+                    .arg("worker")
+                    .arg("--threads")
+                    .arg(threads.to_string());
+                // What `--transport subprocess` runs: a fresh pool per
+                // campaign (spawn cost included), one ⌈n/K⌉ unit per
+                // worker.
                 g.bench_function(format!("subprocess_64x20k_{shards}shards"), |b| {
                     b.iter(|| {
+                        let exec = PoolExecutor::new(command.clone())
+                            .workers(shards)
+                            .unit(n.div_ceil(shards));
                         black_box(exec.execute(&spec, seed, n, None).expect("subprocess"))
                             .stats
                             .met
@@ -396,9 +399,9 @@ fn bench_exec_backends(c: &mut Criterion) {
                 // The pool executor lives OUTSIDE b.iter: its persistent
                 // sessions survive across iterations, so this measures
                 // the steady state the pool exists for — per-campaign
-                // wire/gather overhead with the per-shard spawn cost
-                // amortized away (the overhead that made 4 one-shot
-                // shards *slower* than 2 at this size).
+                // wire/gather overhead with the spawn cost amortized
+                // away (the overhead that made 4 fresh-spawn shards
+                // *slower* than 2 at this size).
                 // A fixed unit size keeps the protocol work identical
                 // across worker counts, so the rows compare pool sizes,
                 // not unit plans.

@@ -16,8 +16,8 @@
 //! what makes the stream re-orderable). The final report is unaffected by
 //! the sink — records still land in input order and the stats fold is
 //! unchanged. The contract holds across process boundaries too: the
-//! subprocess executors ([`crate::exec`]) buffer each shard's stream and
-//! release it to the caller's sink only when the shard succeeds, so a
+//! pool executor ([`crate::exec`]) buffers each unit's stream and
+//! releases it to the caller's sink only when the unit succeeds, so a
 //! retried worker's partial output never produces duplicate deliveries.
 
 use crate::batch::RunRecord;

@@ -1,18 +1,15 @@
-//! Property tests for `shard::plan`: for arbitrary `(n, shards)` the
-//! planned ranges are contiguous, disjoint, cover exactly `0..n`, and
-//! differ in length by at most one — the partition invariants every
-//! executor backend's byte-identity rests on.
+//! Property tests for `shard::plan_units`: for arbitrary `(n, unit)` the
+//! planned units are contiguous, ascending, non-empty, balanced (every
+//! unit but the last holds exactly `unit` indices, the last at most
+//! that), and cover exactly `0..n` — the partition invariants every
+//! executor transport's byte-identity rests on (the subprocess
+//! transport's `K` shards are `plan_units(n, ⌈n/K⌉)`).
 //!
 //! Case counts are capped for CI-friendly wall time; override with
 //! `PROPTEST_CASES` for a deep run.
 
 use proptest::prelude::*;
-use rv_core::shard::{plan, CampaignSpec, SolverSpec};
-use rv_model::TargetClass;
-
-fn spec() -> CampaignSpec {
-    CampaignSpec::new(SolverSpec::Aur, vec![TargetClass::Type3], 1_000)
-}
+use rv_core::shard::plan_units;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -20,44 +17,32 @@ proptest! {
     #[test]
     fn plan_partitions_0_to_n_into_balanced_contiguous_ranges(
         n in 0usize..3_000,
-        shards in 0usize..4_000,
-        seed in any::<u64>(),
+        unit in 0usize..4_000,
+        shards in 1usize..4_000,
     ) {
-        let campaign = spec();
-        let specs = plan(&campaign, seed, n, shards);
+        for unit in [unit, n.div_ceil(shards)] {
+            let units = plan_units(n, unit);
+            // The unit size clamps to at least 1: n == 0 plans nothing,
+            // and no unit is ever empty.
+            prop_assert_eq!(units.is_empty(), n == 0);
+            prop_assert_eq!(units.len(), n.div_ceil(unit.max(1)));
 
-        // The shard count clamps to 1..=max(n, 1): never zero specs,
-        // never more specs than indices (so no shard is ever empty for
-        // n > 0), and never more than asked for.
-        prop_assert!(!specs.is_empty());
-        prop_assert!(specs.len() <= shards.max(1));
-        prop_assert!(specs.len() <= n.max(1));
-
-        // Contiguous, disjoint, covering exactly 0..n, in shard order:
-        // each range starts where the previous one ended.
-        let mut next = 0;
-        for (k, s) in specs.iter().enumerate() {
-            prop_assert_eq!(s.shard_id as usize, k);
-            prop_assert_eq!(s.range.start, next);
-            prop_assert!(s.range.end >= s.range.start);
-            prop_assert!(!s.range.is_empty() || n == 0);
-            prop_assert_eq!(s.seed, seed);
-            prop_assert_eq!(&s.campaign, &campaign);
-            next = s.range.end;
+            // Contiguous, disjoint, covering exactly 0..n in ascending
+            // order: each range starts where the previous one ended.
+            let mut next = 0;
+            for r in &units {
+                prop_assert_eq!(r.start, next);
+                prop_assert!(!r.is_empty());
+                prop_assert!(r.len() <= unit.max(1));
+                next = r.end;
+            }
+            prop_assert_eq!(next, n);
+            // Balanced: only the last unit may be short.
+            for r in units.iter().rev().skip(1) {
+                prop_assert_eq!(r.len(), unit.max(1));
+            }
         }
-        prop_assert_eq!(next, n);
-
-        // Balanced: lengths differ by at most one, and the long shards
-        // come first (the first n % shards ranges carry the extra index).
-        let lens: Vec<usize> = specs.iter().map(|s| s.range.len()).collect();
-        let lo = *lens.iter().min().unwrap();
-        let hi = *lens.iter().max().unwrap();
-        prop_assert!(hi - lo <= 1);
-        let first_short = lens.iter().position(|&l| l == lo).unwrap_or(0);
-        prop_assert!(
-            lens[first_short..].iter().all(|&l| l == lo),
-            "short shards must form a suffix: {:?}",
-            lens
-        );
+        // The subprocess mapping never plans more units than shards.
+        prop_assert!(plan_units(n, n.div_ceil(shards)).len() <= shards);
     }
 }

@@ -4,19 +4,15 @@
 //!
 //! ```text
 //! rv-shard worker [--threads T] [--flaky]
-//!     Speak the schema-3 worker protocol on stdin/stdout. A first line
-//!     of kind shard_spec runs the one-shot protocol: execute the
-//!     shard, stream one record line per finished run, then the final
-//!     shard_result line. A first line of kind campaign_spec opens a
-//!     persistent *session*: each subsequent task line executes one
-//!     index unit (record lines, then a unit_telemetry line, then a
-//!     unit_done line), a new campaign_spec line re-keys the session,
-//!     and stdin EOF ends it with exit 0. Exit 0 on success, 2 on a
-//!     bad spec. With --flaky, deterministically fail (exit 3, after
-//!     streaming one genuine record) on first attempts — the one-shot
-//!     protocol reads the attempt from the RV_SHARD_ATTEMPT environment
-//!     variable, a session reads it from each task line — a test mode
-//!     proving driver retry works.
+//!     Speak the schema-3 session protocol on stdin/stdout: the first
+//!     line must be a campaign_spec line, which opens the session; each
+//!     subsequent task line executes one index unit (record lines, then
+//!     a unit_telemetry line, then a unit_done line), a new
+//!     campaign_spec line re-keys the session, and stdin EOF ends it
+//!     with exit 0. Exit 2 on a bad opener or session line. With
+//!     --flaky, deterministically fail (exit 3, after streaming one
+//!     genuine record) on every task line carrying attempt 0 — a test
+//!     mode proving driver retry works.
 //!
 //! rv-shard campaign --n N [--shards K] [--seed S] [--solver aur|dedicated]
 //!                   [--classes type3,s1,...] [--segments M]
@@ -25,34 +21,32 @@
 //!                   [--wrap "ssh host --"] [--utilization] [--cache DIR]
 //!     Run the seeded campaign through the chosen executor backend and
 //!     print the gathered CampaignStats JSON — byte-identical on every
-//!     backend. --local is shorthand for --transport local; --wrap
-//!     (which implies --transport command) prefixes every worker
-//!     invocation with the given command, e.g. an ssh hop. With
-//!     --transport pool, --shards sets the persistent worker count and
-//!     --unit the steal-unit size in indices (0 = auto), and
+//!     backend. --local is shorthand for --transport local. Every other
+//!     transport is a pool of persistent rv-shard workers, K of them
+//!     (min(K, M) with --max-inflight M > 0), each running cores/workers
+//!     threads: subprocess (the default) hands each worker one unit of
+//!     ceil(N/K) indices; command is the same with every worker
+//!     invocation prefixed by --wrap (which implies it), e.g. an ssh
+//!     hop; pool steals --unit U indices at a time (0 = auto).
 //!     --utilization prints a second JSON line after the stats — the
 //!     per-worker utilization fold of the pool's unit telemetry
 //!     (UtilizationReport; idle workers report zero units). The stats
-//!     line itself is unaffected. --utilization with any other
-//!     transport is a usage error (only the pool has worker slots).
-//!     --cache DIR attaches a content-addressed result cache (created
-//!     if missing): a warm re-run replays finished shards from DIR
-//!     byte-identically and only re-executes shards whose spec hash
-//!     changed. A DIR that exists but is not a directory is a usage
-//!     error (exit 2).
+//!     line itself is unaffected; --utilization with --local is a usage
+//!     error (the local engine has no worker slots). --cache DIR
+//!     attaches a content-addressed result cache (created if missing):
+//!     a warm re-run replays finished units from DIR byte-identically
+//!     and only re-executes units whose spec hash changed. A DIR that
+//!     exists but is not a directory is a usage error (exit 2).
 //! ```
 
 use rv_core::cache::{CacheError, CachedExecutor, ResultCache};
-use rv_core::exec::{
-    CommandExecutor, Executor, LocalExecutor, PoolExecutor, SubprocessExecutor, UtilizationReport,
-    ATTEMPT_ENV,
-};
-use rv_core::shard::{CampaignSpec, ShardResult, ShardSpec, SolverSpec, UnitDone, UnitTelemetry};
+use rv_core::exec::{Executor, LocalExecutor, PoolExecutor, UtilizationReport};
+use rv_core::shard::{CampaignSpec, SolverSpec, UnitDone, UnitTelemetry};
 use rv_core::wire::Line;
-use rv_core::{wire, JsonLinesSink, RecordSink};
+use rv_core::{wire, JsonLinesSink};
 use rv_experiments::runner::worker_command;
 use rv_model::TargetClass;
-use std::io::{BufRead, StdinLock};
+use std::io::BufRead;
 use std::sync::Arc;
 
 fn main() {
@@ -74,9 +68,8 @@ fn main() {
     }
 }
 
-/// Worker mode: a shard spec in, record lines + shard result out — or,
-/// when the first line is a campaign spec, a persistent session serving
-/// task lines until stdin EOF. `--threads T` caps this worker's
+/// Worker mode: a persistent session opened by a `campaign_spec` line,
+/// serving task lines until stdin EOF. `--threads T` caps this worker's
 /// campaign threads (0 = all cores) so K same-host workers can split
 /// the CPU instead of oversubscribing it. `--flaky` injects
 /// deterministic first-attempt failures (see below).
@@ -100,68 +93,29 @@ fn worker(args: &[String]) {
     }
     let threads: usize = parsed_flag(args, "--threads", 0);
     let flaky = args.iter().any(|a| a == "--flaky");
-    let stdin = std::io::stdin();
-    let mut input = stdin.lock();
-    let mut line = String::new();
-    if let Err(e) = input.read_line(&mut line) {
-        eprintln!("rv-shard worker: cannot read shard spec: {e}");
-        std::process::exit(2);
-    }
-    match wire::decode_line(line.trim()) {
-        Ok(Line::ShardSpec(spec)) => one_shot(spec, threads, flaky),
-        Ok(Line::CampaignSpec { spec, seed }) => session(input, spec, seed, threads, flaky),
-        Ok(other) => {
-            eprintln!("rv-shard worker: bad shard spec: expected a shard_spec or campaign_spec line, got {other:?}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("rv-shard worker: bad shard spec: {e}");
-            std::process::exit(2);
-        }
-    }
+    session(threads, flaky);
 }
 
-/// The one-shot worker protocol: execute the single handed-over shard,
-/// stream its records, print the final `shard_result` line.
-fn one_shot(spec: ShardSpec, threads: usize, flaky: bool) {
-    // Records stream as wire lines the moment each run lands; Stdout is
-    // line-buffered and the sink flushes, so the parent sees them live.
-    let sink = Arc::new(JsonLinesSink::new(std::io::stdout()));
-    if flaky && attempt_number() == 0 {
-        // Fault-injection mode: stream ONE genuine record (a partial
-        // stream the driver must discard wholesale — replaying it would
-        // double-deliver the index), then die. Attempts >= 1 run clean,
-        // so exactly one retry per shard recovers the campaign.
-        if !spec.range.is_empty() {
-            let first = ShardSpec {
-                range: spec.range.start..spec.range.start + 1,
-                ..spec.clone()
-            };
-            let _ = first.execute_threads(sink.clone() as Arc<dyn RecordSink>, 1);
-        }
-        eprintln!("rv-shard worker: injected flaky failure (attempt 0)");
-        std::process::exit(3);
-    }
-    let result: ShardResult = spec.execute_threads(sink.clone() as Arc<dyn RecordSink>, threads);
-    if sink.failed() {
-        eprintln!("rv-shard worker: record stream write failed");
-        std::process::exit(1);
-    }
-    println!("{}", wire::encode_shard_result(&result));
-}
-
-/// The persistent-session worker protocol (the `PoolExecutor` side):
-/// keyed by the opening `campaign_spec` line, each `task` line executes
-/// one index unit and answers with record lines, one `unit_telemetry`
-/// line, and one `unit_done` line. A fresh `campaign_spec` line re-keys
-/// the session in place; stdin EOF is the graceful shutdown (exit 0).
-fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usize, flaky: bool) {
-    let mut session = (spec, seed);
+/// The session protocol (the `PoolExecutor` side): the first line must
+/// be a `campaign_spec` line, which opens the session; each `task` line
+/// executes one index unit and answers with record lines, one
+/// `unit_telemetry` line, and one `unit_done` line. A fresh
+/// `campaign_spec` line re-keys the session in place; stdin EOF is the
+/// graceful shutdown (exit 0).
+fn session(threads: usize, flaky: bool) {
+    let mut input = std::io::stdin().lock();
+    let mut session: Option<(CampaignSpec, u64)> = None;
     let sink = Arc::new(JsonLinesSink::new(std::io::stdout()));
     let mut line = String::new();
     loop {
         line.clear();
         match input.read_line(&mut line) {
+            Ok(0) if session.is_none() => {
+                eprintln!(
+                    "rv-shard worker: bad session opener: stdin closed before a campaign_spec line"
+                );
+                std::process::exit(2);
+            }
             // EOF: the driver closed the session; all handed-out units
             // were answered, so this worker's job is done.
             Ok(0) => std::process::exit(0),
@@ -175,33 +129,24 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
         if trimmed.is_empty() {
             continue;
         }
-        match wire::decode_line(trimmed) {
-            Ok(Line::CampaignSpec { spec, seed }) => session = (spec, seed),
-            Ok(Line::Task(task)) => {
+        match (wire::decode_line(trimmed), &session) {
+            (Ok(Line::CampaignSpec { spec, seed }), _) => session = Some((spec, seed)),
+            (Ok(Line::Task(task)), Some((spec, seed))) => {
                 if flaky && task.attempt == 0 {
-                    // Session-mode fault injection: same contract as the
-                    // one-shot worker, with the attempt number read off
-                    // the task line instead of the environment.
+                    // Fault injection: stream ONE genuine record (a
+                    // partial stream the driver must discard wholesale —
+                    // replaying it would double-deliver the index), then
+                    // die. Attempts >= 1 run clean, so exactly one retry
+                    // per unit recovers the campaign.
                     if !task.range.is_empty() {
-                        let first = ShardSpec {
-                            campaign: session.0.clone(),
-                            seed: session.1,
-                            range: task.range.start..task.range.start + 1,
-                            shard_id: task.task_id,
-                        };
-                        let _ = first.execute_threads(sink.clone() as Arc<dyn RecordSink>, 1);
+                        let first = task.range.start..task.range.start + 1;
+                        let _ = spec.execute_range(*seed, first, sink.clone(), 1);
                     }
                     eprintln!("rv-shard worker: injected flaky failure (attempt 0)");
                     std::process::exit(3);
                 }
                 let started = std::time::Instant::now();
-                let shard = ShardSpec {
-                    campaign: session.0.clone(),
-                    seed: session.1,
-                    range: task.range.clone(),
-                    shard_id: task.task_id,
-                };
-                let result = shard.execute_threads(sink.clone() as Arc<dyn RecordSink>, threads);
+                let acc = spec.execute_range(*seed, task.range.clone(), sink.clone(), threads);
                 let telemetry = UnitTelemetry {
                     task_id: task.task_id,
                     attempt: task.attempt,
@@ -210,33 +155,36 @@ fn session(mut input: StdinLock<'_>, spec: CampaignSpec, seed: u64, threads: usi
                 sink.write_line(&wire::encode_unit_telemetry(&telemetry));
                 sink.write_line(&wire::encode_unit_done(&UnitDone {
                     task_id: task.task_id,
-                    start: result.start,
-                    acc: result.acc,
+                    start: task.range.start,
+                    acc,
                 }));
                 if sink.failed() {
                     eprintln!("rv-shard worker: record stream write failed");
                     std::process::exit(1);
                 }
             }
-            Ok(other) => {
+            (Ok(other), None) => {
+                eprintln!(
+                    "rv-shard worker: bad session opener: expected a campaign_spec line, got {other:?}"
+                );
+                std::process::exit(2);
+            }
+            (Err(e), None) => {
+                eprintln!(
+                    "rv-shard worker: bad session opener (expected a campaign_spec line): {e}"
+                );
+                std::process::exit(2);
+            }
+            (Ok(other), Some(_)) => {
                 eprintln!("rv-shard worker: unexpected session line: {other:?}");
                 std::process::exit(2);
             }
-            Err(e) => {
+            (Err(e), Some(_)) => {
                 eprintln!("rv-shard worker: bad session line: {e}");
                 std::process::exit(2);
             }
         }
     }
-}
-
-/// The zero-based attempt number the executor put in the environment
-/// (absent or unparseable counts as the first attempt).
-fn attempt_number() -> u32 {
-    std::env::var(ATTEMPT_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 /// The operand following `name`, or `None` when the flag is absent. A
@@ -280,7 +228,7 @@ fn campaign(args: &[String]) {
         eprintln!("rv-shard campaign: --n N (> 0) is required");
         std::process::exit(2);
     }
-    let shards: usize = parsed_flag(args, "--shards", 1);
+    let shards: usize = parsed_flag(args, "--shards", 1).max(1);
     let seed: u64 = parsed_flag(args, "--seed", 0);
     let segments: u64 = parsed_flag(args, "--segments", 60_000);
     let retries: u32 = parsed_flag(args, "--retries", 0);
@@ -321,10 +269,10 @@ fn campaign(args: &[String]) {
         std::process::exit(2);
     }
     let utilization = args.iter().any(|a| a == "--utilization");
-    if utilization && transport != "pool" {
-        // Only the pool has persistent worker slots to report on;
-        // silently ignoring the flag would look like "all workers idle".
-        eprintln!("rv-shard campaign: --utilization requires --transport pool");
+    if utilization && transport == "local" {
+        // Only worker transports have slots to report on; silently
+        // ignoring the flag would look like "all workers idle".
+        eprintln!("rv-shard campaign: --utilization needs a worker transport, not --local");
         std::process::exit(2);
     }
     // The cache opens (creating DIR if needed) before any worker spawns
@@ -342,96 +290,66 @@ fn campaign(args: &[String]) {
                 std::process::exit(1);
             }
         });
-    // Split the host's cores over the workers that actually run at once:
-    // the in-flight cap when one is set, else one worker per planned
-    // shard (plan clamps the shard count to n, so clamp here too).
-    let planned = shards.min(n.max(1)).max(1);
-    let concurrency = match max_inflight {
-        0 => planned,
-        cap => planned.min(cap),
+    // Every worker transport is a pool: --shards workers, capped by
+    // --max-inflight, each running its share of the host's cores.
+    let workers = match max_inflight {
+        0 => shards,
+        cap => shards.min(cap),
     };
-    let executor: Box<dyn Executor> = match transport {
-        // The local engine has no shard structure to reuse, so --cache
-        // wraps it: the whole campaign is one cache entry.
-        "local" => match &cache {
-            Some(cache) => Box::new(CachedExecutor::new(LocalExecutor::new(), Arc::clone(cache))),
-            None => Box::new(LocalExecutor::new()),
-        },
-        "subprocess" => {
-            let mut exec = SubprocessExecutor::new(worker_command(&own_binary(), concurrency))
-                .shards(shards)
-                .retries(retries)
-                .max_inflight(max_inflight);
-            if let Some(cache) = &cache {
-                exec = exec.cache(Arc::clone(cache));
+    let pool = (transport != "local").then(|| {
+        let mut worker = worker_command(&own_binary(), workers.min(n));
+        let unit = match transport {
+            "pool" => unit,
+            "subprocess" => n.div_ceil(shards),
+            "command" => {
+                let wrap = wrap.filter(|w| !w.is_empty()).unwrap_or_else(|| {
+                    eprintln!("rv-shard campaign: --transport command needs --wrap CMD");
+                    std::process::exit(2);
+                });
+                worker = worker.wrap(wrap);
+                n.div_ceil(shards)
             }
-            Box::new(exec)
-        }
-        "command" => {
-            let wrap = wrap.filter(|w| !w.is_empty()).unwrap_or_else(|| {
-                eprintln!("rv-shard campaign: --transport command needs --wrap CMD");
+            other => {
+                eprintln!(
+                    "rv-shard campaign: unknown transport {other:?} \
+                     (local | subprocess | command | pool)"
+                );
                 std::process::exit(2);
-            });
-            let mut exec = CommandExecutor::new(wrap, worker_command(&own_binary(), concurrency))
-                .shards(shards)
-                .retries(retries)
-                .max_inflight(max_inflight);
-            if let Some(cache) = &cache {
-                exec = exec.cache(Arc::clone(cache));
             }
-            Box::new(exec)
+        };
+        let pool = PoolExecutor::new(worker)
+            .workers(workers)
+            .unit(unit)
+            .retries(retries);
+        match &cache {
+            Some(cache) => pool.cache(Arc::clone(cache)),
+            None => pool,
         }
-        // Pool transport: --shards is the persistent worker count and
-        // --unit the steal-unit size; max_inflight has no meaning (the
-        // pool is its own concurrency bound, one unit per worker). Kept
-        // concrete (not boxed) so --utilization can read the
-        // worker-tagged telemetry back off the executor afterwards.
-        "pool" => {
-            let mut pool = PoolExecutor::new(worker_command(&own_binary(), concurrency))
-                .workers(shards)
-                .unit(unit)
-                .retries(retries);
-            if let Some(cache) = &cache {
-                pool = pool.cache(Arc::clone(cache));
-            }
-            match pool.execute_stats(&spec, seed, n, None) {
-                Ok(stats) => {
-                    println!("{}", stats.to_json());
-                    if utilization {
-                        // One row per pool slot, idle workers included —
-                        // the slot count mirrors PoolExecutor::workers'
-                        // clamp to at least one.
-                        let report = UtilizationReport::from_worker_telemetry(
-                            shards.max(1),
-                            &pool.take_worker_telemetry(),
-                        );
-                        println!("{}", report.to_json());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("rv-shard campaign [{}]: {e}", pool.name());
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        other => {
-            eprintln!(
-                "rv-shard campaign: unknown transport {other:?} \
-                 (local | subprocess | command | pool)"
-            );
-            std::process::exit(2);
-        }
-    };
-
-    // Stats-only path: execute_stats keeps driver memory at O(shard
+    });
+    // Stats-only path: execute_stats keeps driver memory at O(unit
     // size) even for huge campaigns (records are never materialised).
-    match executor.execute_stats(&spec, seed, n, None) {
+    let stats = match (&pool, &cache) {
+        (Some(pool), _) => pool.execute_stats(&spec, seed, n, None),
+        // The local engine has no unit structure to reuse, so --cache
+        // wraps it: the whole campaign is one cache entry.
+        (None, Some(cache)) => CachedExecutor::new(LocalExecutor::new(), Arc::clone(cache))
+            .execute_stats(&spec, seed, n, None),
+        (None, None) => LocalExecutor::new().execute_stats(&spec, seed, n, None),
+    };
+    match stats {
         Ok(stats) => println!("{}", stats.to_json()),
         Err(e) => {
-            eprintln!("rv-shard campaign [{}]: {e}", executor.name());
+            eprintln!("rv-shard campaign [{transport}]: {e}");
             std::process::exit(1);
         }
+    }
+    if let Some(pool) = pool.filter(|_| utilization) {
+        // One row per pool slot, idle workers included.
+        let telemetry = pool.take_worker_telemetry();
+        println!(
+            "{}",
+            UtilizationReport::from_worker_telemetry(workers, &telemetry).to_json()
+        );
     }
 }
 

@@ -1,27 +1,24 @@
 //! The headline differential: the same seeded campaign run through every
-//! `Executor` backend — `LocalExecutor`, `SubprocessExecutor` over 1/2/4
-//! real `rv-shard` worker subprocesses, `CommandExecutor` behind an
-//! identity command wrapper, and `PoolExecutor` over 1/2/4 persistent
-//! session workers — must produce byte-identical `CampaignStats`
-//! (struct, Debug rendering, and `to_json` artifact) and identical
-//! record streams. Fault tolerance is proven the hard way: the worker's
-//! `--flaky` mode deterministically kills every first attempt (after
-//! leaking a partial record stream the driver must discard), so a retry
-//! budget of 1 recovers byte-identically while a budget of 0 fails
-//! typed — for one-shot shards and for pool sessions alike. Driver
-//! failure paths, abort promptness, the exactly-once sink contract
-//! under concurrent retries, and the CLI transports are exercised
-//! against real processes too.
+//! transport — `LocalExecutor`, and `PoolExecutor` configured as the
+//! `subprocess` transport (1/2/4 shards, one `⌈n/K⌉` unit per worker),
+//! as the `command` transport (behind an identity command wrapper), and
+//! as the work-stealing `pool` (1/2/4 persistent session workers) — must
+//! produce byte-identical `CampaignStats` (struct, Debug rendering, and
+//! `to_json` artifact) and identical record streams. Workers run four
+//! threads each, so records arrive in completion order on any host.
+//! Fault tolerance is proven the hard way: the worker's `--flaky` mode
+//! deterministically kills every first attempt (after leaking a partial
+//! record stream the driver must discard), so a retry budget of 1
+//! recovers byte-identically while a budget of 0 fails typed. Driver
+//! failure paths, dead-host failover, abort promptness, the exactly-once
+//! sink contract under concurrent retries, and the CLI transports are
+//! exercised against real processes too.
 
 use rv_core::cache::ResultCache;
-use rv_core::exec::{
-    CommandExecutor, ExecError, Executor, LocalExecutor, PoolExecutor, SubprocessExecutor,
-    WorkerCommand,
-};
+use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
 use rv_core::shard::{CampaignSpec, ShardError, SolverSpec, UnitTask};
 use rv_core::stream::VecSink;
-use rv_core::{wire, CampaignReport, CampaignStats, RecordSink};
-use rv_experiments::runner::{run_pooled, run_sharded};
+use rv_core::{wire, CampaignReport, CampaignStats, RecordSink, RunRecord};
 use rv_model::TargetClass;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -47,8 +44,26 @@ fn mixed_spec() -> CampaignSpec {
     )
 }
 
+/// Four threads per worker, whatever the host's core count, so every
+/// unit streams its records in completion order.
 fn worker_cmd() -> WorkerCommand {
-    WorkerCommand::new(WORKER).arg("worker")
+    WorkerCommand::new(WORKER)
+        .arg("worker")
+        .arg("--threads")
+        .arg("4")
+}
+
+/// What `rv-shard campaign --transport subprocess --shards K
+/// --max-inflight M` runs: a pool of `min(K, M)` workers (`M = 0`: no
+/// cap) handing out one `⌈n/K⌉` unit per shard.
+fn scatter(worker: WorkerCommand, n: usize, shards: usize, max_inflight: usize) -> PoolExecutor {
+    let workers = match max_inflight {
+        0 => shards,
+        cap => shards.min(cap),
+    };
+    PoolExecutor::new(worker)
+        .workers(workers)
+        .unit(n.div_ceil(shards))
 }
 
 fn assert_byte_identical(a: &CampaignStats, b: &CampaignStats, ctx: &str) {
@@ -75,13 +90,23 @@ fn assert_backend_matches(
     assert_eq!(report.records, local.records, "{ctx}: report record order");
 
     // The records streamed through the sink cover 0..n exactly once and
-    // match the single-process records.
-    let seen = sink.take_sorted();
-    assert_eq!(seen.len(), n, "{ctx}");
-    for (expect, (idx, rec)) in seen.iter().enumerate() {
-        assert_eq!(*idx, expect, "{ctx}");
-        assert_eq!(rec, &local.records[*idx], "{ctx}, index {idx}");
-    }
+    // match the single-process records byte for byte.
+    assert_same_records_by_index(&encoded(&sink.take()), &reference(&local), ctx);
+}
+
+/// `(index, record line)` pairs, in the given order.
+fn encoded(records: &[(usize, RunRecord)]) -> Vec<(usize, String)> {
+    records
+        .iter()
+        .map(|(i, rec)| (*i, wire::encode_record(*i, rec)))
+        .collect()
+}
+
+/// The single-process run's record lines, tagged with their indices.
+fn reference(local: &CampaignReport) -> Vec<(usize, String)> {
+    (0..local.records.len())
+        .map(|i| (i, wire::encode_record(i, &local.records[i])))
+        .collect()
 }
 
 #[test]
@@ -102,7 +127,7 @@ fn subprocess_executor_is_byte_identical_for_1_2_4_shards() {
         "workload must include infeasible instances"
     );
     for shards in [1usize, 2, 4] {
-        let exec = SubprocessExecutor::new(worker_cmd()).shards(shards);
+        let exec = scatter(worker_cmd(), n, shards, 0);
         assert_backend_matches(&exec, &spec, seed, n, &format!("{shards} shards"));
     }
 }
@@ -116,7 +141,7 @@ fn command_executor_identity_wrapper_is_byte_identical() {
     let spec = mixed_spec();
     // `env worker args...` execs the worker unchanged: the identity
     // wrapper, standing in for `ssh host --`.
-    let exec = CommandExecutor::new(["/usr/bin/env"], worker_cmd()).shards(3);
+    let exec = scatter(worker_cmd().wrap(["/usr/bin/env"]), 24, 3, 0);
     assert_backend_matches(&exec, &spec, 0xD1FF_5EED, 24, "command(env)");
 }
 
@@ -124,9 +149,7 @@ fn command_executor_identity_wrapper_is_byte_identical() {
 fn max_inflight_caps_do_not_change_bytes() {
     let spec = mixed_spec();
     for cap in [1usize, 2] {
-        let exec = SubprocessExecutor::new(worker_cmd())
-            .shards(4)
-            .max_inflight(cap);
+        let exec = scatter(worker_cmd(), 13, 4, cap);
         assert_backend_matches(&exec, &spec, 7, 13, &format!("4 shards, inflight {cap}"));
     }
 }
@@ -136,13 +159,12 @@ fn flaky_workers_recover_byte_identically_with_one_retry() {
     let spec = mixed_spec();
     let seed = 0xF1A6;
     let n = 16;
-    let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
+    let flaky = worker_cmd().arg("--flaky");
 
     // Without a retry budget every shard's first attempt dies (exit 3,
     // after leaking one genuine record line the driver must discard):
     // typed exhaustion, not a panic and not a partial result.
-    let err = SubprocessExecutor::new(flaky.clone())
-        .shards(2)
+    let err = scatter(flaky.clone(), n, 2, 0)
         .execute(&spec, seed, n, None)
         .unwrap_err();
     match err {
@@ -162,14 +184,12 @@ fn flaky_workers_recover_byte_identically_with_one_retry() {
         other => panic!("expected Exhausted, got {other}"),
     }
 
-    // With one retry, attempt 1 (RV_SHARD_ATTEMPT=1) runs clean on every
-    // shard and the gathered bytes — including the sink stream, which
-    // must not contain the failed attempts' partial records — are
+    // With one retry, attempt 1 (read off the task line) runs clean on
+    // every shard and the gathered bytes — including the sink stream,
+    // which must not contain the failed attempts' partial records — are
     // identical to the single-process run.
     for shards in [1usize, 2, 4] {
-        let exec = SubprocessExecutor::new(flaky.clone())
-            .shards(shards)
-            .retries(1);
+        let exec = scatter(flaky.clone(), n, shards, 0).retries(1);
         assert_backend_matches(&exec, &spec, seed, n, &format!("flaky, {shards} shards"));
     }
 }
@@ -207,7 +227,7 @@ fn pool_transport_flaky_workers_recover_byte_identically() {
     let spec = mixed_spec();
     let seed = 0xF1A6;
     let n = 16;
-    let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
+    let flaky = worker_cmd().arg("--flaky");
 
     // No retry budget: the first unit's attempt-0 failure (exit 3 after
     // leaking one genuine record the driver must discard) is typed
@@ -277,13 +297,14 @@ fn flaky_workers_exactly_once_delivery_stress() {
     // The exactly-once sink contract under fire: flaky workers fail every
     // first attempt after leaking a genuine record, several drain threads
     // retry concurrently, and the sink must still see every index exactly
-    // once — for the one-shot backend at every inflight cap, and for the
-    // pool. The `flaky_workers` name marker routes this test into CI's
-    // dedicated fault-injection step (see `.github/workflows/ci.yml`).
+    // once — for the subprocess transport at every inflight cap, and for
+    // the work-stealing pool. The `flaky_workers` name marker routes this
+    // test into CI's dedicated fault-injection step (see
+    // `.github/workflows/ci.yml`).
     let spec = mixed_spec();
     let (seed, n) = (0x5789, 16);
     let local = spec.run_local(seed, n);
-    let flaky = WorkerCommand::new(WORKER).arg("worker").arg("--flaky");
+    let flaky = worker_cmd().arg("--flaky");
 
     let assert_exactly_once = |exec: &dyn Executor, ctx: &str| {
         let sink = Arc::new(VecSink::new());
@@ -291,26 +312,13 @@ fn flaky_workers_exactly_once_delivery_stress() {
             .execute_stats(&spec, seed, n, Some(sink.clone() as Arc<dyn RecordSink>))
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         assert_byte_identical(&stats, &local.stats, ctx);
-        // Raw arrival order: count per-index deliveries before sorting.
-        let raw = sink.take();
-        let mut seen = vec![0usize; n];
-        for (idx, rec) in &raw {
-            seen[*idx] += 1;
-            assert_eq!(rec, &local.records[*idx], "{ctx}: index {idx}");
-        }
-        for (idx, count) in seen.iter().enumerate() {
-            assert_eq!(
-                *count, 1,
-                "{ctx}: index {idx} delivered {count} times, not exactly once"
-            );
-        }
+        // Raw arrival order: the helper rejects any index delivered
+        // twice, any index missing, and any line that differs by a byte.
+        assert_same_records_by_index(&encoded(&sink.take()), &reference(&local), ctx);
     };
 
     for max_inflight in [0usize, 1, 2] {
-        let exec = SubprocessExecutor::new(flaky.clone())
-            .shards(6)
-            .retries(1)
-            .max_inflight(max_inflight);
+        let exec = scatter(flaky.clone(), n, 6, max_inflight).retries(1);
         assert_exactly_once(&exec, &format!("subprocess, inflight {max_inflight}"));
     }
     for workers in [2usize, 4] {
@@ -329,13 +337,14 @@ fn abort_kills_in_flight_workers_promptly() {
         return;
     }
     let spec = mixed_spec();
-    // Worker 0 wedges for 30s (sleep ignores the protocol, so its stdout
-    // just stays open); worker 1 fails to spawn instantly and, with no
+    // Slot 0 wedges for 30s (sleep ignores the protocol, so its stdout
+    // just stays open); slot 1 fails to spawn instantly and, with no
     // retry budget, dooms the run. The driver must kill the wedged child
     // on abort instead of waiting out its 30 seconds.
-    let exec = SubprocessExecutor::new(WorkerCommand::new("/bin/sleep").arg("30"))
+    let exec = PoolExecutor::new(WorkerCommand::new("/bin/sleep").arg("30"))
         .add_worker(WorkerCommand::new("/nonexistent/rv-shard-dead"))
-        .shards(2)
+        .workers(2)
+        .unit(4)
         .retries(0);
     let started = std::time::Instant::now();
     let err = exec.execute(&spec, 3, 8, None).unwrap_err();
@@ -351,10 +360,10 @@ fn abort_kills_in_flight_workers_promptly() {
 fn execute_stats_matches_execute_and_still_streams_exactly_once() {
     let spec = mixed_spec();
     let (seed, n) = (21, 10);
-    let exec = SubprocessExecutor::new(worker_cmd()).shards(3);
+    let exec = scatter(worker_cmd(), n, 3, 0);
     let report = exec.execute(&spec, seed, n, None).expect("full report");
 
-    // The stats-only path (what the CLI uses — O(shard) driver memory)
+    // The stats-only path (what the CLI uses — O(unit) driver memory)
     // must produce the same bytes as the full-report path, and its sink
     // contract is unchanged: every index delivered exactly once.
     let sink = Arc::new(VecSink::new());
@@ -362,12 +371,11 @@ fn execute_stats_matches_execute_and_still_streams_exactly_once() {
         .execute_stats(&spec, seed, n, Some(sink.clone() as Arc<dyn RecordSink>))
         .expect("stats-only");
     assert_byte_identical(&stats, &report.stats, "execute_stats vs execute");
-    let seen = sink.take_sorted();
-    assert_eq!(seen.len(), n);
-    for (expect, (idx, rec)) in seen.iter().enumerate() {
-        assert_eq!(*idx, expect);
-        assert_eq!(rec, &report.records[*idx]);
-    }
+    assert_same_records_by_index(
+        &encoded(&sink.take()),
+        &reference(&report),
+        "execute_stats sink",
+    );
 }
 
 #[test]
@@ -375,19 +383,33 @@ fn failed_ranges_rescatter_onto_surviving_workers() {
     let spec = mixed_spec();
     let seed = 11;
     let n = 12;
-    // Worker command 0 always fails before speaking the protocol; the
-    // executor must mark it failed and re-scatter its ranges onto the
-    // surviving real worker within the retry budget.
-    let dead = WorkerCommand::new("/nonexistent/rv-shard-on-a-dead-host");
     let local = spec.run_local(seed, n);
-    let report = SubprocessExecutor::new(dead)
-        .add_worker(worker_cmd())
-        .shards(4)
-        .retries(1)
-        .execute(&spec, seed, n, None)
-        .expect("survivor absorbs the dead worker's ranges");
-    assert_byte_identical(&report.stats, &local.stats, "re-scatter onto survivor");
-    assert_eq!(report.records, local.records);
+    // Slot k runs command k % 2, and command 0 always fails before
+    // speaking the protocol. Each dead slot fails one unit, then stops
+    // taking units while a live slot still does; its units re-scatter
+    // onto the survivors. A unit can meet each dead slot at most once,
+    // so one retry per dead slot is always enough.
+    let dead = WorkerCommand::new("/nonexistent/rv-shard-on-a-dead-host");
+    for (workers, retries) in [(2usize, 1u32), (4, 2)] {
+        let exec = PoolExecutor::new(dead.clone())
+            .add_worker(worker_cmd())
+            .workers(workers)
+            .unit(n.div_ceil(workers))
+            .retries(retries);
+        let ctx = format!("re-scatter onto survivors, {workers} slots");
+        let report = exec
+            .execute(&spec, seed, n, None)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_byte_identical(&report.stats, &local.stats, &ctx);
+        assert_eq!(report.records, local.records, "{ctx}");
+        // Only the live command's slots completed units.
+        assert!(
+            exec.take_worker_telemetry()
+                .iter()
+                .all(|(slot, _)| slot % 2 == 1),
+            "{ctx}: a dead slot reported a unit"
+        );
+    }
 }
 
 #[test]
@@ -397,18 +419,47 @@ fn aur_campaigns_run_sharded_identically_too() {
     let n = 10;
     let local = spec.run_local(seed, n).stats;
     assert_eq!(local.met, n, "type 3 is AUR-guaranteed");
-    let sharded = run_sharded(Path::new(WORKER), &spec, seed, n, 2).expect("2-shard run");
+    let sharded = scatter(worker_cmd(), n, 2, 0)
+        .execute_stats(&spec, seed, n, None)
+        .expect("2-shard run");
     assert_byte_identical(&sharded, &local, "aur 2 shards");
-    let pooled = run_pooled(Path::new(WORKER), &spec, seed, n, 2, 3).expect("2-worker pool run");
+    let pooled = PoolExecutor::new(worker_cmd())
+        .workers(2)
+        .unit(3)
+        .execute_stats(&spec, seed, n, None)
+        .expect("2-worker pool run");
     assert_byte_identical(&pooled, &local, "aur 2-worker pool");
 }
 
 #[test]
 fn shard_counts_beyond_n_clamp_instead_of_spawning_empty_workers() {
+    if !Path::new("/bin/sh").exists() {
+        eprintln!("skipping: /bin/sh not available");
+        return;
+    }
     let spec = mixed_spec();
-    let local = spec.run_local(3, 5).stats;
-    let sharded = run_sharded(Path::new(WORKER), &spec, 3, 5, 64).expect("clamped run");
-    assert_byte_identical(&sharded, &local, "clamped shards");
+    let (seed, n) = (3, 5);
+    let local = spec.run_local(seed, n).stats;
+    // A wrapper that logs one line per spawned worker, then execs it.
+    let log = std::env::temp_dir().join(format!("rv-spawn-log-{}", std::process::id()));
+    let _ = fs::remove_file(&log);
+    let logged = worker_cmd().wrap([
+        "/bin/sh",
+        "-c",
+        "echo spawn >> \"$0\"; exec \"$@\"",
+        log.to_str().unwrap(),
+    ]);
+    let exec = scatter(logged, n, 64, 0);
+    let stats = exec
+        .execute_stats(&spec, seed, n, None)
+        .expect("clamped run");
+    assert_byte_identical(&stats, &local, "clamped shards");
+    let spawns = fs::read_to_string(&log).unwrap_or_default().lines().count();
+    assert!(
+        (1..=n).contains(&spawns),
+        "64 shards over n = {n} spawned {spawns} workers"
+    );
+    let _ = fs::remove_file(&log);
 }
 
 #[test]
@@ -416,8 +467,7 @@ fn driver_failure_paths_are_typed_not_panics() {
     let spec = mixed_spec();
 
     // Nonexistent worker binary: exhausted with Spawn as the last error.
-    let err = SubprocessExecutor::new(WorkerCommand::new("/nonexistent/rv-shard"))
-        .shards(2)
+    let err = scatter(WorkerCommand::new("/nonexistent/rv-shard"), 4, 2, 0)
         .execute(&spec, 1, 4, None)
         .unwrap_err();
     match err {
@@ -428,8 +478,7 @@ fn driver_failure_paths_are_typed_not_panics() {
     }
 
     // Real binary, wrong mode: exits non-zero with usage on stderr.
-    let err = SubprocessExecutor::new(WorkerCommand::new(WORKER).arg("not-a-mode"))
-        .shards(2)
+    let err = scatter(WorkerCommand::new(WORKER).arg("not-a-mode"), 4, 2, 0)
         .execute(&spec, 1, 4, None)
         .unwrap_err();
     match err {
@@ -443,10 +492,10 @@ fn driver_failure_paths_are_typed_not_panics() {
         other => panic!("expected Worker exhaustion, got {other}"),
     }
 
-    // A worker that echoes the spec back (cat) violates the protocol:
-    // the driver must reject the unexpected shard_spec line, typed.
+    // A worker that echoes the session back (cat) violates the protocol:
+    // the driver must reject the unexpected campaign_spec line, typed.
     if Path::new("/bin/cat").exists() {
-        let err = SubprocessExecutor::new(WorkerCommand::new("/bin/cat"))
+        let err = PoolExecutor::new(WorkerCommand::new("/bin/cat"))
             .execute(&spec, 1, 4, None)
             .unwrap_err();
         match err {
@@ -472,16 +521,45 @@ fn worker_rejects_garbage_specs_with_exit_2() {
         .stdin
         .take()
         .unwrap()
-        .write_all(b"{\"schema\": 2, \"kind\": \"shard_spec\"}\n")
+        .write_all(b"{\"schema\": 2, \"kind\": \"campaign_spec\"}\n")
         .unwrap();
     let out = child.wait_with_output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("bad shard spec"), "stderr: {stderr}");
+    assert!(stderr.contains("bad session opener"), "stderr: {stderr}");
     assert!(
         stderr.contains("schema"),
         "error should name the schema mismatch: {stderr}"
     );
+}
+
+#[test]
+fn worker_rejects_the_removed_one_shot_dialect_with_exit_2() {
+    use std::io::Write;
+    // The retired one-shot opener is a typed usage error that points at
+    // the session opener — not a hang, and not a panic.
+    let mut child = Command::new(WORKER)
+        .arg("worker")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn worker");
+    let line = "{\"schema\": 3, \"kind\": \"shard_spec\", \"shard_id\": 0, \"seed\": 1, \
+                \"start\": 0, \"end\": 4, \"campaign\": {\"solver\": \"aur\", \
+                \"segments\": 1000, \"classes\": [\"type3\"]}}\n";
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(line.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no records for a bad opener");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("campaign_spec"), "stderr: {stderr}");
+    assert!(stderr.contains("shard_spec"), "stderr: {stderr}");
 }
 
 #[test]
@@ -558,6 +636,117 @@ fn cli_transports_match_byte_for_byte() {
         .expect("campaign mode");
     assert!(upper.status.success());
     assert_eq!(String::from_utf8(upper.stdout).unwrap(), local);
+}
+
+#[test]
+fn max_inflight_caps_the_worker_count_on_every_worker_transport() {
+    let flags = ["--solver", "dedicated", "--classes", "type3,s1"];
+    let run = |extra: &[&str]| -> Vec<String> {
+        let out = Command::new(WORKER)
+            .arg("campaign")
+            .args(flags)
+            .args(["--n", "12", "--seed", "4", "--segments", "20000"])
+            .args(extra)
+            .output()
+            .expect("campaign mode");
+        assert!(
+            out.status.success(),
+            "{extra:?} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .map(String::from)
+            .collect()
+    };
+    let local = run(&["--local"]);
+    assert_eq!(local.len(), 1);
+    // --utilization reports one row per pool slot: min(K, M) of them.
+    for (args, slots) in [
+        (
+            &[
+                "--transport",
+                "pool",
+                "--shards",
+                "4",
+                "--max-inflight",
+                "1",
+            ][..],
+            1,
+        ),
+        (&["--transport", "pool", "--shards", "3"][..], 3),
+        (&["--shards", "4", "--max-inflight", "2"][..], 2),
+        (&["--transport", "subprocess", "--shards", "2"][..], 2),
+    ] {
+        let out = run(&[args, &["--utilization"]].concat());
+        assert_eq!(out.len(), 2, "{args:?}: stats + utilization");
+        assert_eq!(out[0], local[0], "{args:?}: bytes must match --local");
+        assert_eq!(
+            out[1].matches("\"worker\": ").count(),
+            slots,
+            "{args:?}: {}",
+            out[1]
+        );
+    }
+
+    // Behind a wrapper that logs each worker invocation: the cap bounds
+    // the spawns, and each worker's threads are sized from the capped
+    // count, so the CPU is not oversubscribed.
+    if !Path::new("/bin/sh").exists() {
+        eprintln!("skipping the wrapper half: /bin/sh not available");
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("rv-inflight-wrap-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("spawns.log");
+    let script = dir.join("log-and-exec.sh");
+    fs::write(
+        &script,
+        format!(
+            "#!/bin/sh\necho \"$@\" >> '{}'\nexec \"$@\"\n",
+            log.display()
+        ),
+    )
+    .unwrap();
+    let chmod = Command::new("chmod")
+        .arg("+x")
+        .arg(&script)
+        .status()
+        .expect("chmod");
+    assert!(chmod.success());
+    let wrap = script.to_str().unwrap();
+    let out = run(&["--shards", "4", "--max-inflight", "1", "--wrap", wrap]);
+    assert_eq!(out, local, "wrapped, capped run must match --local");
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let spawns: Vec<String> = fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .map(String::from)
+        .collect();
+    assert_eq!(
+        spawns.len(),
+        1,
+        "one worker under --max-inflight 1: {spawns:?}"
+    );
+    assert!(
+        spawns[0].ends_with(&format!("worker --threads {cores}")),
+        "the sole worker gets every core: {spawns:?}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn utilization_is_a_usage_error_only_with_local() {
+    let out = Command::new(WORKER)
+        .args(["campaign", "--n", "4", "--local", "--utilization"])
+        .output()
+        .expect("campaign mode");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--utilization"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "no stats on a usage error");
 }
 
 #[test]
@@ -658,8 +847,8 @@ fn worker_cli_rejects_unknown_flags() {
         "unknown flag \"--oops\"",
     );
     // Known flags still pass validation: with stdin closed the worker
-    // gets past the flag check and fails on the missing spec instead.
-    worker_error(&["--threads", "2", "--flaky"], "bad shard spec");
+    // gets past the flag check and fails on the missing opener instead.
+    worker_error(&["--threads", "2", "--flaky"], "bad session opener");
 }
 
 #[test]
@@ -672,7 +861,7 @@ fn session_worker_serves_units_and_exits_0_on_eof() {
     let spec = mixed_spec();
     let seed = 77;
     let mut child = Command::new(WORKER)
-        .arg("worker")
+        .args(["worker", "--threads", "4"])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -713,12 +902,9 @@ fn session_worker_serves_units_and_exits_0_on_eof() {
             other => panic!("unexpected session answer: {other:?}"),
         }
     }
-    // The worker runs each unit on all cores and streams records in
+    // The worker runs each unit on four threads and streams records in
     // completion order; only index coverage and bytes are contractual.
-    let want: Vec<(usize, String)> = (0..5)
-        .map(|i| (i, wire::encode_record(i, &local.records[i])))
-        .collect();
-    assert_same_records_by_index(&records, &want, "session worker");
+    assert_same_records_by_index(&records, &reference(&local), "session worker");
     assert_eq!(
         telemetry.iter().map(|t| t.task_id).collect::<Vec<_>>(),
         vec![0, 1]
@@ -774,9 +960,7 @@ fn cache_warm_reruns_replay_byte_identically_and_execute_zero_shards() {
     // the reference bytes (stats, report records, and sink stream are all
     // checked against the single-process run inside the helper).
     let cold_cache = Arc::new(ResultCache::open(&dir).expect("open cold"));
-    let exec = SubprocessExecutor::new(worker_cmd())
-        .shards(4)
-        .cache(Arc::clone(&cold_cache));
+    let exec = scatter(worker_cmd(), n, 4, 0).cache(Arc::clone(&cold_cache));
     assert_backend_matches(&exec, &spec, seed, n, "cold subprocess");
     let cold = cold_cache.stats();
     assert_eq!((cold.hits, cold.misses, cold.stores), (0, 4, 4), "{cold:?}");
@@ -785,9 +969,7 @@ fn cache_warm_reruns_replay_byte_identically_and_execute_zero_shards() {
     // run can only succeed if zero shards are re-executed.
     let warm_cache = Arc::new(ResultCache::open(&dir).expect("open warm"));
     let broken = WorkerCommand::new("/nonexistent/rv-shard-warm-proof");
-    let exec = SubprocessExecutor::new(broken.clone())
-        .shards(4)
-        .cache(Arc::clone(&warm_cache));
+    let exec = scatter(broken.clone(), n, 4, 0).cache(Arc::clone(&warm_cache));
     assert_backend_matches(&exec, &spec, seed, n, "warm subprocess, broken worker");
     let warm = warm_cache.stats();
     assert_eq!(
@@ -796,8 +978,8 @@ fn cache_warm_reruns_replay_byte_identically_and_execute_zero_shards() {
         "{warm:?}"
     );
 
-    // Warm across the *other* transport: the pool's 6-instance units
-    // address exactly the (spec, seed, range) entries the subprocess
+    // Warm across the work-stealing pool: its 6-instance units address
+    // exactly the (spec, seed, range) entries the subprocess transport
     // wrote, so no session worker is ever spawned — with the same broken
     // binary, success again proves zero executions.
     let pool_cache = Arc::new(ResultCache::open(&dir).expect("open pool"));
@@ -823,9 +1005,7 @@ fn cache_spec_tweak_reexecutes_exactly_the_changed_shards() {
 
     // Cold: n = 24 over 4 shards caches the ranges 0..6 … 18..24.
     let cold_cache = Arc::new(ResultCache::open(&dir).expect("open cold"));
-    let exec = SubprocessExecutor::new(worker_cmd())
-        .shards(4)
-        .cache(Arc::clone(&cold_cache));
+    let exec = scatter(worker_cmd(), 24, 4, 0).cache(Arc::clone(&cold_cache));
     assert_backend_matches(&exec, &spec, seed, 24, "cold n=24");
     assert_eq!(cold_cache.stats().stores, 4);
 
@@ -833,9 +1013,7 @@ fn cache_spec_tweak_reexecutes_exactly_the_changed_shards() {
     // ranges byte-for-byte and appends 24..30. Exactly that one new shard
     // misses, executes, and is stored; the rest replay from disk.
     let warm_cache = Arc::new(ResultCache::open(&dir).expect("open warm"));
-    let exec = SubprocessExecutor::new(worker_cmd())
-        .shards(5)
-        .cache(Arc::clone(&warm_cache));
+    let exec = scatter(worker_cmd(), 30, 5, 0).cache(Arc::clone(&warm_cache));
     assert_backend_matches(&exec, &spec, seed, 30, "tweaked n=30");
     let s = warm_cache.stats();
     assert_eq!((s.hits, s.misses, s.stores), (4, 1, 1), "{s:?}");
@@ -845,9 +1023,7 @@ fn cache_spec_tweak_reexecutes_exactly_the_changed_shards() {
     let mut other = spec.clone();
     other.segments += 1;
     let moved_cache = Arc::new(ResultCache::open(&dir).expect("open moved"));
-    let exec = SubprocessExecutor::new(worker_cmd())
-        .shards(4)
-        .cache(Arc::clone(&moved_cache));
+    let exec = scatter(worker_cmd(), 24, 4, 0).cache(Arc::clone(&moved_cache));
     assert_backend_matches(&exec, &other, seed, 24, "segments-tweaked n=24");
     let m = moved_cache.stats();
     assert_eq!((m.hits, m.misses, m.stores), (0, 4, 4), "{m:?}");
@@ -894,8 +1070,8 @@ fn cache_cli_cold_warm_and_cross_transport_runs_match_byte_for_byte() {
     ]);
     assert_eq!(warm, reference, "warm run must replay identical bytes");
 
-    // The pool transport with aligned 4-instance units replays the same
-    // entries the subprocess transport wrote.
+    // The work-stealing pool with aligned 4-instance units replays the
+    // same entries the subprocess transport wrote.
     let pool = run(&[
         "--transport",
         "pool",

@@ -3,8 +3,8 @@
 //! streamed `record` wire lines match `wire::encode_record` of
 //! `CampaignSpec::run_local`'s records line for line, and the decoded
 //! `campaign_report`'s `CampaignStats::to_json` matches the local
-//! artifact byte for byte — on the local, pool, and subprocess
-//! transports, for concurrent clients, and across serial re-keyed
+//! artifact byte for byte — on the local, pool, and subprocess (the
+//! pool with one unit per worker) transports, for concurrent clients, and across serial re-keyed
 //! campaigns on one connection. The overload and hangup paths are
 //! pinned too: a full server answers a typed `busy` error, and a client
 //! that hangs up mid-stream frees its campaign slot promptly (the
@@ -139,6 +139,8 @@ fn served_subprocess_campaign_is_byte_identical() {
         .run_campaign(&spec(), 9, &request(32, TransportSpec::Subprocess, 2))
         .expect("served subprocess campaign");
     assert_served_matches_local(&run, &spec(), 9, 32, "subprocess transport");
+    // The pool configured like a scatter: one ⌈n/workers⌉ unit each.
+    assert_eq!(run.telemetry.len(), 2, "one telemetry row per worker unit");
     drop(client);
     handle.shutdown();
     join.join().expect("join");
@@ -146,8 +148,10 @@ fn served_subprocess_campaign_is_byte_identical() {
 
 #[test]
 fn concurrent_clients_each_get_byte_identical_streams() {
+    // Two threads per campaign, whatever the host's core count, so the
+    // streams arrive in completion order.
     let (addr, handle, join) = start(ServeConfig {
-        local_threads: 1,
+        local_threads: 2,
         ..ServeConfig::default()
     });
     let mut clients = Vec::new();
@@ -215,6 +219,7 @@ fn served_cached_campaigns_replay_byte_identically_and_bad_cache_names_are_typed
     std::fs::create_dir_all(&root).expect("cache root");
     let (addr, handle, join) = start(ServeConfig {
         cache_root: Some(root.clone()),
+        local_threads: 2,
         ..ServeConfig::default()
     });
     let mut client = Client::connect(addr).expect("connect");

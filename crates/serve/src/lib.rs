@@ -73,9 +73,7 @@ pub mod signal;
 
 use rv_core::batch::{CampaignStats, RunRecord};
 use rv_core::cache::{CachedExecutor, ResultCache};
-use rv_core::exec::{
-    ExecError, Executor, LocalExecutor, PoolExecutor, SubprocessExecutor, WorkerCommand,
-};
+use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
 use rv_core::shard::{CampaignRequest, CampaignSpec, TransportSpec, UnitTelemetry};
 use rv_core::stream::RecordSink;
 use rv_core::wire::{self, ErrorCode, ErrorLine, WireError};
@@ -547,8 +545,8 @@ fn handle_connection(stream: TcpStream, config: &ServeConfig, state: &ServerStat
 }
 
 /// Executes one admitted campaign on the requested transport, streaming
-/// records into `out`. Pool campaigns also return their unit telemetry
-/// (sorted, worker tags stripped) for the client-visible tail.
+/// records into `out`. Worker-backed campaigns also return their unit
+/// telemetry (sorted, worker tags stripped) for the client-visible tail.
 fn run_campaign(
     spec: &CampaignSpec,
     seed: u64,
@@ -588,11 +586,17 @@ fn run_campaign(
             .map(|stats| (stats, Vec::new()))
             .map_err(|e| client_gone(&out, e))
         }
-        TransportSpec::Pool => {
+        TransportSpec::Pool | TransportSpec::Subprocess => {
+            // `subprocess` is the pool configured like a scatter: one
+            // unit of ⌈n / workers⌉ indices per worker.
             let workers = req.workers.max(1);
+            let unit = match req.transport {
+                TransportSpec::Subprocess => req.n.div_ceil(workers),
+                _ => req.unit,
+            };
             let mut pool = PoolExecutor::new(worker_command(config, workers)?)
                 .workers(workers)
-                .unit(req.unit)
+                .unit(unit)
                 .retries(req.retries);
             if let Some(cache) = cache {
                 pool = pool.cache(cache);
@@ -601,18 +605,6 @@ fn run_campaign(
                 .execute_stats(spec, seed, req.n, Some(sink))
                 .map_err(|e| client_gone(&out, e))?;
             Ok((stats, pool.take_telemetry()))
-        }
-        TransportSpec::Subprocess => {
-            let shards = req.workers.max(1);
-            let mut exec = SubprocessExecutor::new(worker_command(config, shards)?)
-                .shards(shards)
-                .retries(req.retries);
-            if let Some(cache) = cache {
-                exec = exec.cache(cache);
-            }
-            exec.execute_stats(spec, seed, req.n, Some(sink))
-                .map(|stats| (stats, Vec::new()))
-                .map_err(|e| client_gone(&out, e))
         }
     }
 }
