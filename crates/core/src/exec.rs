@@ -34,10 +34,10 @@
 //! wholesale, so the exactly-once-per-index sink contract survives
 //! retries. Worker slot `k` runs `commands[k % len]`
 //! ([`PoolExecutor::add_worker`]); a slot whose freshly spawned worker
-//! fails before completing a unit stops taking units while another slot
-//! still takes them, so a dead host's units re-scatter onto the
-//! survivors. The first unit to exhaust its budget aborts the run and
-//! kills every in-flight worker.
+//! fails before completing a unit stops taking units while a slot
+//! running another command still takes them, so a dead host's units
+//! re-scatter onto the survivors. The first unit to exhaust its budget
+//! aborts the run and kills every in-flight worker.
 //!
 //! # Determinism
 //!
@@ -226,11 +226,6 @@ impl KillSwitch {
         }
     }
 
-    /// Whether the run was aborted.
-    fn aborted(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
-    }
-
     /// Flips the switch and kills everything registered so far. Already
     /// -exited children ignore the signal; their owning threads reap
     /// them as usual.
@@ -357,17 +352,19 @@ impl PoolExecutor {
     }
 
     /// Registers an additional worker command — another host, say. Slot
-    /// `k` runs `commands[k % len]`, so extra commands are both
-    /// load-spreading targets and failover capacity: a slot whose
-    /// freshly spawned worker fails before completing a unit stops
-    /// taking units while another slot still takes them.
+    /// `k` runs `commands[k % len]`, and the pool has at least one slot
+    /// per command, so extra commands are both load-spreading targets
+    /// and failover capacity: a slot whose freshly spawned worker fails
+    /// before completing a unit stops taking units while a slot running
+    /// another command still takes them.
     pub fn add_worker(mut self, worker: WorkerCommand) -> PoolExecutor {
         self.commands.push(worker);
         self
     }
 
     /// Sets the number of persistent worker processes (clamped to at
-    /// least 1). Changing the count tears down any existing pool on the
+    /// least 1, and at execution to at least one per registered
+    /// command). Changing the count tears down any existing pool on the
     /// next execution.
     pub fn workers(mut self, workers: usize) -> PoolExecutor {
         self.workers = workers.max(1);
@@ -423,14 +420,14 @@ impl PoolExecutor {
     }
 
     /// The scatter/gather core: one drain thread per worker slot (at
-    /// most one per pending unit), each pulling `(unit, attempt)` tasks
-    /// off the shared queue and feeding them to its persistent worker
-    /// (spawning/respawning the worker as needed). Unit outcomes land in
-    /// `slots` indexed by unit; units are contiguous and ascending by
-    /// construction, so the gather merges them in index order. With
-    /// `keep_records` false, each unit's record buffer is dropped right
-    /// after its sink release, so stats-only gathers hold O(unit size)
-    /// memory instead of O(n).
+    /// most one per pending unit, but one per command while any unit is
+    /// pending, so a dead command's unit can fail over), each pulling
+    /// `(unit, attempt)` tasks off the shared queue and feeding them to
+    /// its persistent worker (spawning/respawning it as needed). Unit
+    /// outcomes land in `slots` indexed by unit; units are contiguous and
+    /// ascending, so the gather merges them in index order. With
+    /// `keep_records` false, each unit's buffer is dropped right after
+    /// its sink release: stats-only gathers hold O(unit size), not O(n).
     fn scatter_gather(
         &self,
         spec: &CampaignSpec,
@@ -444,17 +441,18 @@ impl PoolExecutor {
             // (or feed workers) for it.
             return Err(ExecError::SinkClosed);
         }
+        let workers = self.workers.max(self.commands.len());
         let unit = match self.unit {
-            0 => (n / (self.workers * 4)).max(1),
+            0 => (n / (workers * 4)).max(1),
             u => u,
         };
         let units = plan_units(n, unit);
 
         let mut pool = lock(&self.pool);
-        if pool.len() != self.workers {
+        if pool.len() != workers {
             // Worker count changed since the last run: drop the old pool
             // (each worker's Drop kills and reaps it) and start fresh.
-            *pool = std::iter::repeat_with(|| None).take(self.workers).collect();
+            *pool = std::iter::repeat_with(|| None).take(workers).collect();
         }
         lock(&self.telemetry).clear();
 
@@ -471,27 +469,20 @@ impl PoolExecutor {
             keep_records,
             &mut slot_init,
         )?;
-        let drains = pool.len().min(pending.len());
-
-        let drain = Drain {
-            queue: Mutex::new(WorkQueue {
-                tasks: pending,
-                in_flight: 0,
-                taking: drains,
-            }),
-            ready: Condvar::new(),
-            fatal: Mutex::new(None),
-            kills: KillSwitch::default(),
-            sink: &sink,
+        let len = self.commands.len();
+        let drains = match pending.len() {
+            0 => 0,
+            p => workers.min(p.max(len)),
         };
+        let drain = Drain::new(pending, len, drains, &sink);
         let slots: Mutex<Vec<Option<UnitOutcome>>> = Mutex::new(slot_init);
 
         std::thread::scope(|scope| {
             let (drain, slots, units, telemetry) = (&drain, &slots, &units, &self.telemetry);
             for (widx, slot) in pool.iter_mut().enumerate().take(drains) {
-                let command = &self.commands[widx % self.commands.len()];
+                let command = &self.commands[widx % len];
                 scope.spawn(move || {
-                    let mut claim = Claim { drain, held: false };
+                    let mut claim = Claim::new(drain, widx % len);
                     while let Some((k, attempt)) = claim.next() {
                         let task = UnitTask {
                             task_id: k as u32,
@@ -546,7 +537,8 @@ impl PoolExecutor {
             }
         });
 
-        if let Some(err) = drain.fatal.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        let queue = drain.queue.into_inner().unwrap_or_else(|e| e.into_inner());
+        if let Some(err) = queue.fatal {
             // Abort killed workers indiscriminately; none of the
             // surviving sessions can be trusted to be line-aligned, so
             // the next execution starts from a clean pool.
@@ -596,15 +588,18 @@ impl Executor for PoolExecutor {
     }
 }
 
-/// The pool's shared work queue. Besides the pending `(unit, attempt)`
-/// tasks it counts the handed-out units not yet settled and the drain
-/// threads still taking units: an idle drain thread waits, rather than
-/// exits, while a sibling's unit may still fail and re-queue, and a
-/// slot may retire only while another slot is left to pick its unit up.
+/// The pool's work queue, the one lock its drain threads share. It also
+/// counts the units handed out but not settled, so an idle thread waits
+/// while a sibling's unit may still re-queue, and the threads still
+/// taking units per worker command, so a slot retires only while a slot
+/// running another command is left to pick its unit up.
+#[derive(Default)]
 struct WorkQueue {
     tasks: VecDeque<(usize, u32)>,
     in_flight: usize,
-    taking: usize,
+    taking: Vec<usize>,
+    /// The first fatal error; once set, every drain thread stops.
+    fatal: Option<ExecError>,
 }
 
 /// What the drain threads of one pool run share.
@@ -612,26 +607,44 @@ struct Drain<'a> {
     queue: Mutex<WorkQueue>,
     /// Signalled when a task is re-queued or the run ends.
     ready: Condvar,
-    fatal: Mutex<Option<ExecError>>,
     kills: KillSwitch,
     sink: &'a Option<Arc<dyn RecordSink>>,
 }
 
-impl Drain<'_> {
-    /// Records the first fatal error, kills every in-flight worker (the
-    /// run is already lost, so they are not waited out), and wakes idle
-    /// drain threads so they exit. Taking the queue lock before the
-    /// wake-up means no thread is between its fatal check and its wait,
-    /// so the caller must not hold it.
+impl<'a> Drain<'a> {
+    fn new(
+        tasks: VecDeque<(usize, u32)>,
+        commands: usize,
+        drains: usize,
+        sink: &'a Option<Arc<dyn RecordSink>>,
+    ) -> Drain<'a> {
+        let mut taking = vec![0; commands];
+        (0..drains).for_each(|k| taking[k % commands] += 1);
+        Drain {
+            queue: Mutex::new(WorkQueue {
+                tasks,
+                taking,
+                ..WorkQueue::default()
+            }),
+            ready: Condvar::new(),
+            kills: KillSwitch::default(),
+            sink,
+        }
+    }
+
+    /// Records the first fatal error, wakes idle drain threads so they
+    /// exit, and kills every in-flight worker (the run is already lost,
+    /// so they are not waited out). The caller must not hold the queue
+    /// lock.
     fn fail(&self, err: ExecError) {
-        let mut fatal = lock(&self.fatal);
-        if fatal.is_none() {
-            *fatal = Some(err);
-            drop(fatal);
+        let mut q = lock(&self.queue);
+        let first = q.fatal.is_none();
+        q.fatal.get_or_insert(err);
+        drop(q);
+        self.ready.notify_all();
+        if first {
             self.kills.abort();
         }
-        let _queue = lock(&self.queue);
-        self.ready.notify_all();
     }
 }
 
@@ -641,10 +654,20 @@ impl Drain<'_> {
 /// wait for a unit whose thread is gone.
 struct Claim<'d, 'a> {
     drain: &'d Drain<'a>,
+    /// Index of the worker command this thread's slot runs.
+    command: usize,
     held: bool,
 }
 
-impl Claim<'_, '_> {
+impl<'d, 'a> Claim<'d, 'a> {
+    fn new(drain: &'d Drain<'a>, command: usize) -> Claim<'d, 'a> {
+        Claim {
+            drain,
+            command,
+            held: false,
+        }
+    }
+
     /// Settles the previous unit and hands out the next task, waiting
     /// while the queue is empty but a sibling's unit may still re-queue.
     /// `None` once the run is drained or has failed.
@@ -655,7 +678,7 @@ impl Claim<'_, '_> {
             q.in_flight -= 1;
         }
         loop {
-            if lock(&drain.fatal).is_some() {
+            if q.fatal.is_some() {
                 return None;
             }
             // A closed sink means the consumer is gone for good: fail the
@@ -673,7 +696,6 @@ impl Claim<'_, '_> {
             }
             if q.in_flight == 0 {
                 // Nothing queued and nothing left that could re-queue.
-                q.taking -= 1;
                 drain.ready.notify_all();
                 return None;
             }
@@ -682,19 +704,23 @@ impl Claim<'_, '_> {
     }
 
     /// Re-queues the failed unit as `task` (its next attempt) and
-    /// returns whether the calling slot retires. A freshly spawned
-    /// worker that failed before completing a unit retires its slot
-    /// while another slot still takes units; the last slot never
-    /// retires, so a sole worker that fails transiently is still
-    /// retried.
+    /// returns whether the calling slot retires: it does when its fresh
+    /// worker failed and a slot running another command still takes
+    /// units. Slots of one command would all meet the same failure, so a
+    /// one-command pool respawns instead, as does the last taking slot.
     fn requeue(&mut self, task: (usize, u32), fresh: bool) -> bool {
         let mut q = lock(&self.drain.queue);
         q.tasks.push_back(task);
         q.in_flight -= 1;
         self.held = false;
-        let retire = fresh && q.taking > 1;
+        let mine = self.command;
+        let retire = fresh
+            && q.taking
+                .iter()
+                .enumerate()
+                .any(|(c, &t)| c != mine && t > 0);
         if retire {
-            q.taking -= 1;
+            q.taking[mine] -= 1;
         }
         self.drain.ready.notify_one();
         retire
@@ -856,12 +882,11 @@ impl PoolWorker {
     /// Reaps the worker after its stdout hit EOF (it has exited or is
     /// exiting, so this does not stall) and returns `(exit code, what it
     /// wrote to stderr)`.
-    fn reap(mut self) -> (Option<i32>, String) {
+    fn reap(self) -> (Option<i32>, String) {
         let code = lock(&self.child).wait().ok().and_then(|s| s.code());
-        if let Some(t) = self.stderr_thread.take() {
-            let _ = t.join();
-        }
-        let stderr = lock(&self.stderr_buf).trim().to_string();
+        let stderr_buf = Arc::clone(&self.stderr_buf);
+        drop(self); // joins the stderr thread
+        let stderr = lock(&stderr_buf).trim().to_string();
         (code, stderr)
     }
 
@@ -955,64 +980,31 @@ fn run_pool_unit(
         }
     }
 
-    enum ReadFail {
-        /// The worker closed stdout mid-unit (it died or bailed).
-        Eof,
-        Fail(ShardError),
-    }
-
     // rv-lint: allow(panic) — unreachable: the handshake loop above only
     // breaks with the slot filled.
     let w = slot.as_mut().expect("worker is live after handshake");
+    // `Err(None)`: the worker closed stdout mid-unit (it died or bailed).
     let streamed = (|| {
         let mut unit_telemetry: Option<UnitTelemetry> = None;
         let mut records: Vec<(usize, RunRecord)> = Vec::with_capacity(task.range.len());
         let mut line = String::new();
         loop {
             line.clear();
-            if w.stdout
-                .read_line(&mut line)
-                .map_err(|e| ReadFail::Fail(io(e)))?
-                == 0
-            {
-                return Err(ReadFail::Eof);
+            if w.stdout.read_line(&mut line).map_err(|e| Some(io(e)))? == 0 {
+                return Err(None);
             }
             if line.trim().is_empty() {
                 continue;
             }
             match wire::decode_line(line.trim_end())
-                .map_err(|source| ReadFail::Fail(ShardError::Wire { shard_id, source }))?
+                .map_err(|source| Some(ShardError::Wire { shard_id, source }))?
             {
-                Line::Record { index, record } => {
-                    if !task.range.contains(&index) {
-                        return Err(ReadFail::Fail(protocol(format!(
-                            "record index {index} outside unit range {:?}",
-                            task.range
-                        ))));
-                    }
-                    records.push((index, record));
-                }
-                Line::UnitTelemetry(t) => {
-                    if t.task_id != task.task_id || t.attempt != task.attempt {
-                        return Err(ReadFail::Fail(protocol(format!(
-                            "telemetry identifies as task {} attempt {}, expected task {} \
-                             attempt {}",
-                            t.task_id, t.attempt, task.task_id, task.attempt
-                        ))));
-                    }
-                    if unit_telemetry.replace(t).is_some() {
-                        return Err(ReadFail::Fail(protocol(
-                            "duplicate unit_telemetry line".into(),
-                        )));
-                    }
-                }
-                Line::UnitDone(d) => {
-                    return Ok((d, unit_telemetry, records));
-                }
+                Line::Record { index, record } => records.push((index, record)),
+                Line::UnitTelemetry(t) if unit_telemetry.is_none() => unit_telemetry = Some(t),
+                Line::UnitDone(d) => return Ok((d, unit_telemetry, records)),
                 other => {
-                    return Err(ReadFail::Fail(protocol(format!(
-                        "unexpected line kind in session: {other:?}"
-                    ))));
+                    let what = format!("unexpected line in session: {other:?}");
+                    return Err(Some(protocol(what)));
                 }
             }
         }
@@ -1020,12 +1012,12 @@ fn run_pool_unit(
 
     let (done, unit_telemetry, mut records) = match streamed {
         Ok(ok) => ok,
-        Err(ReadFail::Eof) => {
+        Err(None) => {
             // rv-lint: allow(panic) — unreachable: the slot was live for
             // the streaming read that just hit EOF; nothing clears it
             // between there and here.
             let (code, stderr) = slot.take().expect("worker is live").reap();
-            if kills.aborted() {
+            if kills.aborted.load(Ordering::SeqCst) {
                 return Err(protocol("unit aborted by a failing sibling".into()));
             }
             return Err(ShardError::Worker {
@@ -1034,66 +1026,54 @@ fn run_pool_unit(
                 stderr,
             });
         }
-        Err(ReadFail::Fail(e)) => {
+        Err(Some(e)) => {
             // A misbehaving worker's session is unusable; tear it down.
             *slot = None;
             return Err(e);
         }
     };
 
-    let mut fail = |what: String| -> ShardError {
-        *slot = None;
-        ShardError::Protocol { shard_id, what }
-    };
-    if done.task_id != task.task_id {
-        return Err(fail(format!(
-            "unit_done identifies as task {}",
-            done.task_id
-        )));
-    }
-    if done.start != task.range.start {
-        return Err(fail(format!(
-            "unit_done start {} != unit start {}",
-            done.start, task.range.start
-        )));
-    }
-    if done.acc.len() != task.range.len() {
-        return Err(fail(format!(
+    // The unit_done line must name this task, and the streamed records
+    // must be a permutation of exactly the unit range — one record per
+    // index, no duplicates, no gaps.
+    records.sort_by_key(|(index, _)| *index);
+    let task_key = (task.task_id, task.attempt);
+    let covered = records
+        .iter()
+        .map(|(index, _)| *index)
+        .eq(task.range.clone());
+    let what = if done.task_id != task.task_id || done.start != task.range.start {
+        format!(
+            "unit_done identifies as task {} at {}, expected task {} at {}",
+            done.task_id, done.start, task.task_id, task.range.start
+        )
+    } else if done.acc.len() != task.range.len() {
+        format!(
             "expected {} accumulated records, got {}",
             task.range.len(),
             done.acc.len()
-        )));
-    }
-    let Some(unit_telemetry) = unit_telemetry else {
-        return Err(fail("unit finished without a unit_telemetry line".into()));
+        )
+    } else if !covered {
+        format!(
+            "streamed indices do not cover {:?} exactly once",
+            task.range
+        )
+    } else if let Some(t) = unit_telemetry.filter(|t| (t.task_id, t.attempt) == task_key) {
+        return Ok((
+            UnitOutcome {
+                acc: done.acc,
+                records,
+            },
+            t,
+        ));
+    } else {
+        format!(
+            "no matching unit_telemetry line for task {} attempt {}",
+            task_key.0, task_key.1
+        )
     };
-    // The streamed records must be a permutation of exactly the unit
-    // range — one record per index, no duplicates, no gaps.
-    records.sort_by_key(|(index, _)| *index);
-    if records.len() != task.range.len() {
-        return Err(fail(format!(
-            "expected {} record lines, streamed {}",
-            task.range.len(),
-            records.len()
-        )));
-    }
-    for (k, (index, _)) in records.iter().enumerate() {
-        let expect = task.range.start + k;
-        if *index != expect {
-            return Err(fail(format!(
-                "streamed indices do not cover {:?} exactly once (position {k} holds index \
-                 {index}, expected {expect})",
-                task.range
-            )));
-        }
-    }
-    Ok((
-        UnitOutcome {
-            acc: done.acc,
-            records,
-        },
-        unit_telemetry,
-    ))
+    *slot = None;
+    Err(protocol(what))
 }
 
 /// One successfully gathered unit: its accumulator plus the buffered
@@ -1208,19 +1188,14 @@ mod tests {
         )
     }
 
-    /// A drain over `tasks` (all first attempts) with `taking` slots.
-    fn drain(tasks: usize, taking: usize, sink: &Option<Arc<dyn RecordSink>>) -> Drain<'_> {
-        Drain {
-            queue: Mutex::new(WorkQueue {
-                tasks: (0..tasks).map(|k| (k, 0)).collect(),
-                in_flight: 0,
-                taking,
-            }),
-            ready: Condvar::new(),
-            fatal: Mutex::new(None),
-            kills: KillSwitch::default(),
-            sink,
-        }
+    /// A sinkless drain over `tasks` first attempts.
+    fn drain(tasks: usize, commands: usize, drains: usize) -> Drain<'static> {
+        Drain::new(
+            (0..tasks).map(|k| (k, 0)).collect(),
+            commands,
+            drains,
+            &None,
+        )
     }
 
     #[test]
@@ -1274,23 +1249,14 @@ mod tests {
 
     #[test]
     fn failing_workers_are_excluded_in_favor_of_survivors() {
-        let none = None;
-        let d = drain(3, 2, &none);
-        let (mut a, mut b) = (
-            Claim {
-                drain: &d,
-                held: false,
-            },
-            Claim {
-                drain: &d,
-                held: false,
-            },
-        );
+        let d = drain(3, 2, 2);
+        let (mut a, mut b) = (Claim::new(&d, 0), Claim::new(&d, 1));
         assert_eq!(a.next(), Some((0, 0)));
         assert_eq!(b.next(), Some((1, 0)));
         // A proven worker's failure keeps its slot taking units.
         assert!(!a.requeue((0, 1), false));
-        // A fresh worker's failure retires its slot while b still takes.
+        // A fresh worker's failure retires its slot while b, running
+        // another command, still takes.
         assert_eq!(a.next(), Some((2, 0)));
         assert!(a.requeue((2, 1), true), "fresh failure retires the slot");
         drop(a);
@@ -1299,23 +1265,57 @@ mod tests {
         assert_eq!(b.next(), Some((2, 1)));
         assert_eq!(b.next(), None);
         let q = lock(&d.queue);
-        assert_eq!((q.in_flight, q.taking), (0, 0));
+        assert_eq!((q.in_flight, q.taking.as_slice()), (0, &[0, 1][..]));
     }
 
     #[test]
     fn a_transiently_failing_sole_worker_is_retried_not_abandoned() {
         // The last slot taking units never retires, however its fresh
         // worker failed: the unit comes straight back to it.
-        let none = None;
-        let d = drain(1, 1, &none);
-        let mut only = Claim {
-            drain: &d,
-            held: false,
-        };
+        let d = drain(1, 1, 1);
+        let mut only = Claim::new(&d, 0);
         assert_eq!(only.next(), Some((0, 0)));
         assert!(!only.requeue((0, 1), true), "the sole slot must not retire");
         assert_eq!(only.next(), Some((0, 1)));
         assert_eq!(only.next(), None);
+
+        // Nor do slots of a single command retire: each would meet the
+        // same failure, so both keep respawning and taking units.
+        let d = drain(2, 1, 2);
+        let (mut a, mut b) = (Claim::new(&d, 0), Claim::new(&d, 0));
+        assert_eq!(a.next(), Some((0, 0)));
+        assert_eq!(b.next(), Some((1, 0)));
+        assert!(!a.requeue((0, 1), true), "one command: no retirement");
+        assert!(!b.requeue((1, 1), true), "one command: no retirement");
+        assert_eq!(lock(&d.queue).taking, [2]);
+    }
+
+    #[test]
+    fn repeated_failures_never_deadlock_a_waiting_sibling() {
+        // Two threads fail the run at once while a sibling waits in
+        // `next()` for a held unit: every thread must come back. A helper
+        // thread turns a deadlock or lost wake-up into a timeout failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..300 {
+                let d = drain(1, 1, 3);
+                let mut holder = Claim::new(&d, 0);
+                assert_eq!(holder.next(), Some((0, 0)));
+                std::thread::scope(|s| {
+                    let waiter = s.spawn(|| Claim::new(&d, 0).next());
+                    for _ in 0..2 {
+                        s.spawn(|| d.fail(ExecError::SinkClosed));
+                    }
+                    assert_eq!(waiter.join().unwrap(), None);
+                });
+                assert!(matches!(lock(&d.queue).fatal, Some(ExecError::SinkClosed)));
+            }
+            done.send(()).unwrap();
+        });
+        let timeout = std::time::Duration::from_secs(60);
+        finished
+            .recv_timeout(timeout)
+            .expect("drain threads deadlocked");
     }
 
     #[test]

@@ -21,6 +21,7 @@ use rv_core::stream::VecSink;
 use rv_core::{wire, CampaignReport, CampaignStats, RecordSink, RunRecord};
 use rv_model::TargetClass;
 use std::fs;
+use std::os::unix::fs::PermissionsExt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
@@ -107,6 +108,23 @@ fn reference(local: &CampaignReport) -> Vec<(usize, String)> {
     (0..local.records.len())
         .map(|i| (i, wire::encode_record(i, &local.records[i])))
         .collect()
+}
+
+/// Runs `rv-shard worker <args>` with `input` on stdin, then EOF.
+fn run_worker(args: &[&str], input: &str) -> std::process::Output {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(WORKER)
+        .arg("worker")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn worker");
+    // A worker that rejects its input may exit before reading it all.
+    let _ = child.stdin.take().unwrap().write_all(input.as_bytes());
+    child.wait_with_output().unwrap()
 }
 
 #[test]
@@ -317,16 +335,35 @@ fn flaky_workers_exactly_once_delivery_stress() {
         assert_same_records_by_index(&encoded(&sink.take()), &reference(&local), ctx);
     };
 
+    // A pool of one command keeps every slot after a fresh worker's
+    // failure, so more than one slot completes units whenever there are
+    // several.
+    let assert_slots_share = |exec: &PoolExecutor, workers: usize, ctx: &str| {
+        let mut slots: Vec<usize> = exec
+            .take_worker_telemetry()
+            .into_iter()
+            .map(|(slot, _)| slot)
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len() > 1, workers > 1, "{ctx}: slots {slots:?}");
+    };
+
     for max_inflight in [0usize, 1, 2] {
         let exec = scatter(flaky.clone(), n, 6, max_inflight).retries(1);
-        assert_exactly_once(&exec, &format!("subprocess, inflight {max_inflight}"));
+        let ctx = format!("subprocess, inflight {max_inflight}");
+        assert_exactly_once(&exec, &ctx);
+        let workers = if max_inflight == 0 { 6 } else { max_inflight };
+        assert_slots_share(&exec, workers, &ctx);
     }
     for workers in [2usize, 4] {
         let exec = PoolExecutor::new(flaky.clone())
             .workers(workers)
             .unit(3)
             .retries(1);
-        assert_exactly_once(&exec, &format!("pool, {workers} workers"));
+        let ctx = format!("pool, {workers} workers");
+        assert_exactly_once(&exec, &ctx);
+        assert_slots_share(&exec, workers, &ctx);
     }
 }
 
@@ -382,34 +419,63 @@ fn execute_stats_matches_execute_and_still_streams_exactly_once() {
 fn failed_ranges_rescatter_onto_surviving_workers() {
     let spec = mixed_spec();
     let seed = 11;
-    let n = 12;
-    let local = spec.run_local(seed, n);
     // Slot k runs command k % 2, and command 0 always fails before
     // speaking the protocol. Each dead slot fails one unit, then stops
     // taking units while a live slot still does; its units re-scatter
     // onto the survivors. A unit can meet each dead slot at most once,
     // so one retry per dead slot is always enough.
     let dead = WorkerCommand::new("/nonexistent/rv-shard-on-a-dead-host");
-    for (workers, retries) in [(2usize, 1u32), (4, 2)] {
-        let exec = PoolExecutor::new(dead.clone())
+    let failover = |workers: usize, unit: usize, retries: u32| {
+        PoolExecutor::new(dead.clone())
             .add_worker(worker_cmd())
             .workers(workers)
-            .unit(n.div_ceil(workers))
-            .retries(retries);
-        let ctx = format!("re-scatter onto survivors, {workers} slots");
-        let report = exec
-            .execute(&spec, seed, n, None)
-            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        assert_byte_identical(&report.stats, &local.stats, &ctx);
-        assert_eq!(report.records, local.records, "{ctx}");
+            .unit(unit)
+            .retries(retries)
+    };
+    let check = |exec: &PoolExecutor, n: usize, ctx: &str| {
+        assert_backend_matches(exec, &spec, seed, n, ctx);
         // Only the live command's slots completed units.
+        let telemetry = exec.take_worker_telemetry();
+        assert!(!telemetry.is_empty(), "{ctx}: no unit ran");
         assert!(
-            exec.take_worker_telemetry()
-                .iter()
-                .all(|(slot, _)| slot % 2 == 1),
+            telemetry.iter().all(|(slot, _)| slot % 2 == 1),
             "{ctx}: a dead slot reported a unit"
         );
+    };
+
+    let n = 12usize;
+    for (workers, retries) in [(2usize, 1u32), (4, 2)] {
+        let exec = failover(workers, n.div_ceil(workers), retries);
+        check(
+            &exec,
+            n,
+            &format!("re-scatter onto survivors, {workers} slots"),
+        );
     }
+    // One worker asked for, two commands registered: every command gets
+    // a slot, so the dead first command still fails over.
+    check(
+        &failover(1, 3, 1),
+        n,
+        "workers(1) with a dead first command",
+    );
+    // A single pending unit still reaches the live command.
+    check(&failover(2, 1, 1), 1, "n = 1");
+
+    // One cache miss: a warm cache leaves a single unit to run, and it
+    // too must fail over rather than exhaust on the dead command.
+    let dir = cache_dir("failover");
+    let cache = Arc::new(ResultCache::open(&dir).expect("open cache"));
+    PoolExecutor::new(worker_cmd())
+        .unit(6)
+        .cache(Arc::clone(&cache))
+        .execute_stats(&spec, seed, n, None)
+        .expect("warm the cache");
+    let exec = failover(2, 6, 1).cache(Arc::clone(&cache));
+    check(&exec, n + 1, "one cache miss");
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (2, 3), "{stats:?}");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -509,21 +575,7 @@ fn driver_failure_paths_are_typed_not_panics() {
 
 #[test]
 fn worker_rejects_garbage_specs_with_exit_2() {
-    use std::io::Write;
-    let mut child = Command::new(WORKER)
-        .arg("worker")
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn worker");
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(b"{\"schema\": 2, \"kind\": \"campaign_spec\"}\n")
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
+    let out = run_worker(&[], "{\"schema\": 2, \"kind\": \"campaign_spec\"}\n");
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad session opener"), "stderr: {stderr}");
@@ -535,26 +587,12 @@ fn worker_rejects_garbage_specs_with_exit_2() {
 
 #[test]
 fn worker_rejects_the_removed_one_shot_dialect_with_exit_2() {
-    use std::io::Write;
     // The retired one-shot opener is a typed usage error that points at
     // the session opener — not a hang, and not a panic.
-    let mut child = Command::new(WORKER)
-        .arg("worker")
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn worker");
     let line = "{\"schema\": 3, \"kind\": \"shard_spec\", \"shard_id\": 0, \"seed\": 1, \
                 \"start\": 0, \"end\": 4, \"campaign\": {\"solver\": \"aur\", \
                 \"segments\": 1000, \"classes\": [\"type3\"]}}\n";
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(line.as_bytes())
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
+    let out = run_worker(&[], line);
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty(), "no records for a bad opener");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -578,22 +616,10 @@ fn worker_rejects_unknown_solver_names_listing_the_valid_set() {
 
 #[test]
 fn cli_transports_match_byte_for_byte() {
-    let flags = [
-        "--solver",
-        "dedicated",
-        "--classes",
-        "type3,s1",
-        "--n",
-        "12",
-        "--seed",
-        "9",
-        "--segments",
-        "30000",
-    ];
     let run = |extra: &[&str]| {
         let out = Command::new(WORKER)
-            .arg("campaign")
-            .args(flags)
+            .args(["campaign", "--solver", "dedicated", "--classes", "type3,s1"])
+            .args(["--n", "12", "--seed", "9", "--segments", "30000"])
             .args(extra)
             .output()
             .expect("campaign mode");
@@ -664,22 +690,13 @@ fn max_inflight_caps_the_worker_count_on_every_worker_transport() {
     assert_eq!(local.len(), 1);
     // --utilization reports one row per pool slot: min(K, M) of them.
     for (args, slots) in [
-        (
-            &[
-                "--transport",
-                "pool",
-                "--shards",
-                "4",
-                "--max-inflight",
-                "1",
-            ][..],
-            1,
-        ),
-        (&["--transport", "pool", "--shards", "3"][..], 3),
-        (&["--shards", "4", "--max-inflight", "2"][..], 2),
-        (&["--transport", "subprocess", "--shards", "2"][..], 2),
+        ("--transport pool --shards 4 --max-inflight 1", 1),
+        ("--transport pool --shards 3", 3),
+        ("--shards 4 --max-inflight 2", 2),
+        ("--transport subprocess --shards 2", 2),
     ] {
-        let out = run(&[args, &["--utilization"]].concat());
+        let args: Vec<&str> = args.split(' ').chain(["--utilization"]).collect();
+        let out = run(&args);
         assert_eq!(out.len(), 2, "{args:?}: stats + utilization");
         assert_eq!(out[0], local[0], "{args:?}: bytes must match --local");
         assert_eq!(
@@ -702,29 +719,18 @@ fn max_inflight_caps_the_worker_count_on_every_worker_transport() {
     fs::create_dir_all(&dir).unwrap();
     let log = dir.join("spawns.log");
     let script = dir.join("log-and-exec.sh");
-    fs::write(
-        &script,
-        format!(
-            "#!/bin/sh\necho \"$@\" >> '{}'\nexec \"$@\"\n",
-            log.display()
-        ),
-    )
-    .unwrap();
-    let chmod = Command::new("chmod")
-        .arg("+x")
-        .arg(&script)
-        .status()
-        .expect("chmod");
-    assert!(chmod.success());
+    let body = format!(
+        "#!/bin/sh\necho \"$@\" >> '{}'\nexec \"$@\"\n",
+        log.display()
+    );
+    fs::write(&script, body).unwrap();
+    fs::set_permissions(&script, fs::Permissions::from_mode(0o755)).unwrap();
     let wrap = script.to_str().unwrap();
     let out = run(&["--shards", "4", "--max-inflight", "1", "--wrap", wrap]);
     assert_eq!(out, local, "wrapped, capped run must match --local");
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let spawns: Vec<String> = fs::read_to_string(&log)
-        .unwrap()
-        .lines()
-        .map(String::from)
-        .collect();
+    let spawns = fs::read_to_string(&log).unwrap();
+    let spawns: Vec<&str> = spawns.lines().collect();
     assert_eq!(
         spawns.len(),
         1,
@@ -818,17 +824,11 @@ fn cache_cli_rejects_a_cache_path_that_is_not_a_directory() {
 
 #[test]
 fn worker_cli_rejects_unknown_flags() {
-    use std::process::Stdio;
     // An unknown worker flag used to be silently ignored, so a typo'd
     // driver invocation (`--thread 2`) ran with defaults and looked
     // healthy. It must be a usage error before any protocol I/O.
     let worker_error = |args: &[&str], needle: &str| {
-        let out = Command::new(WORKER)
-            .arg("worker")
-            .args(args)
-            .stdin(Stdio::null())
-            .output()
-            .expect("worker mode");
+        let out = run_worker(args, "");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
             out.status.code(),
@@ -853,33 +853,22 @@ fn worker_cli_rejects_unknown_flags() {
 
 #[test]
 fn session_worker_serves_units_and_exits_0_on_eof() {
-    use std::io::Write;
     // Drive one session by hand: open with a campaign_spec line, hand
     // over two task lines, close stdin. The worker must answer each task
     // with record lines + unit_telemetry + unit_done, then exit 0 — the
     // graceful shutdown the pool relies on.
     let spec = mixed_spec();
     let seed = 77;
-    let mut child = Command::new(WORKER)
-        .args(["worker", "--threads", "4"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn worker");
-    let mut stdin = child.stdin.take().unwrap();
-    writeln!(stdin, "{}", wire::encode_campaign_spec(&spec, seed)).unwrap();
+    let mut input = wire::encode_campaign_spec(&spec, seed) + "\n";
     for (task_id, range) in [(0u32, 0..3), (1u32, 3..5)] {
         let task = UnitTask {
             task_id,
             attempt: 0,
             range,
         };
-        writeln!(stdin, "{}", wire::encode_task(&task)).unwrap();
+        input += &(wire::encode_task(&task) + "\n");
     }
-    drop(stdin);
-
-    let out = child.wait_with_output().unwrap();
+    let out = run_worker(&["--threads", "4"], &input);
     assert_eq!(
         out.status.code(),
         Some(0),
