@@ -369,17 +369,12 @@ fn bench_exec_backends(c: &mut Criterion) {
     });
     match locate_rv_shard() {
         Some(worker) => {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
             for shards in [2usize, 4] {
-                // Split the cores across the concurrent workers (as
-                // runner::worker_command does), so the comparison against
-                // the local backend measures gather overhead rather than
-                // a shards-fold oversubscribed CPU.
-                let threads = (cores / shards).max(1);
-                let command = WorkerCommand::new(&worker)
-                    .arg("worker")
-                    .arg("--threads")
-                    .arg(threads.to_string());
+                // WorkerCommand::rv_shard splits the cores across the
+                // concurrent workers, so the comparison against the local
+                // backend measures gather overhead rather than a
+                // shards-fold oversubscribed CPU.
+                let command = WorkerCommand::rv_shard(&worker, shards);
                 // What `--transport subprocess` runs: a fresh pool per
                 // campaign (spawn cost included), one ⌈n/K⌉ unit per
                 // worker.
@@ -395,7 +390,6 @@ fn bench_exec_backends(c: &mut Criterion) {
                 });
             }
             for workers in [2usize, 4] {
-                let threads = (cores / workers).max(1);
                 // The pool executor lives OUTSIDE b.iter: its persistent
                 // sessions survive across iterations, so this measures
                 // the steady state the pool exists for — per-campaign
@@ -405,14 +399,9 @@ fn bench_exec_backends(c: &mut Criterion) {
                 // A fixed unit size keeps the protocol work identical
                 // across worker counts, so the rows compare pool sizes,
                 // not unit plans.
-                let exec = PoolExecutor::new(
-                    WorkerCommand::new(&worker)
-                        .arg("worker")
-                        .arg("--threads")
-                        .arg(threads.to_string()),
-                )
-                .workers(workers)
-                .unit(8);
+                let exec = PoolExecutor::new(WorkerCommand::rv_shard(&worker, workers))
+                    .workers(workers)
+                    .unit(8);
                 // One warmup campaign spawns the sessions, so every
                 // sample measures the amortized steady state rather than
                 // folding worker startup into the first one.

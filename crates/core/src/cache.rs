@@ -566,16 +566,6 @@ impl<E: Executor> CachedExecutor<E> {
         CachedExecutor { inner, cache }
     }
 
-    /// The wrapped cache (for stats and explicit eviction).
-    pub fn cache(&self) -> &Arc<ResultCache> {
-        &self.cache
-    }
-
-    /// The inner executor.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
     /// Replays a hit through `sink`, exactly once per index.
     fn replay(hit: &CachedShard, sink: &Option<Arc<dyn RecordSink>>) {
         if let Some(sink) = sink {

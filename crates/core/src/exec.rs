@@ -32,12 +32,12 @@
 //! released to the caller's [`RecordSink`] only when that unit
 //! *succeeds* — a failed attempt's partial stream is discarded
 //! wholesale, so the exactly-once-per-index sink contract survives
-//! retries. Worker slot `k` runs `commands[k % len]`
-//! ([`PoolExecutor::add_worker`]); a slot whose freshly spawned worker
-//! fails before completing a unit stops taking units while a slot
-//! running another command still takes them, so a dead host's units
-//! re-scatter onto the survivors. The first unit to exhaust its budget
-//! aborts the run and kills every in-flight worker.
+//! retries. Worker slot `k` starts an execution on
+//! `commands[k % len]` ([`PoolExecutor::add_worker`]) and moves to the
+//! next command after every failed attempt, so a dead host's units
+//! re-scatter onto the rest; with one command the slot just respawns
+//! its worker. The first unit to exhaust its budget aborts the run and
+//! kills every in-flight worker.
 //!
 //! # Determinism
 //!
@@ -62,7 +62,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// A uniform way to run the seeded campaign `(spec, seed, 0..n)`.
@@ -256,6 +256,20 @@ impl WorkerCommand {
         }
     }
 
+    /// The standard `rv-shard` session worker, `program worker --threads
+    /// T`, with the host's cores split across `concurrency` same-host
+    /// workers that run at once (`T = cores / concurrency`, at least 1)
+    /// so a local pool does not oversubscribe the CPU. Thread counts
+    /// never change a single output byte.
+    pub fn rv_shard(program: impl Into<PathBuf>, concurrency: usize) -> WorkerCommand {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let threads = (cores / concurrency.max(1)).max(1);
+        WorkerCommand::new(program)
+            .arg("worker")
+            .arg("--threads")
+            .arg(threads.to_string())
+    }
+
     /// Appends one fixed argument (e.g. the `worker` mode selector of the
     /// `rv-shard` binary).
     pub fn arg(mut self, arg: impl Into<String>) -> WorkerCommand {
@@ -301,8 +315,9 @@ impl WorkerCommand {
 /// without any up-front split, and spawn cost amortizes across the
 /// campaign *and* across repeated [`Executor::execute`] calls on the
 /// same executor value (sessions survive between runs). A worker that
-/// dies mid-unit is torn down and its slot respawned on the next unit;
-/// the failed unit re-queues with the next attempt number.
+/// dies mid-unit is torn down and its slot respawned, on the next
+/// registered command, for its next unit; the failed unit re-queues with
+/// the next attempt number.
 ///
 /// ```no_run
 /// use rv_core::exec::{Executor, PoolExecutor, WorkerCommand};
@@ -320,15 +335,16 @@ impl WorkerCommand {
 /// assert_eq!(report.stats.n, 1_000);
 /// ```
 pub struct PoolExecutor {
-    /// Worker slot `k` runs `commands[k % commands.len()]`; never empty.
+    /// Never empty; slot `k` spawns from `commands[k % len]` until its
+    /// first failure in a run (a live worker from an earlier run stays).
     commands: Vec<WorkerCommand>,
     workers: usize,
     unit: usize,
     retries: u32,
     cache: Option<Arc<ResultCache>>,
-    /// One slot per worker; `None` = not spawned (or torn down after a
-    /// failure). Locked for the whole of `scatter_gather`, which also
-    /// serializes concurrent `execute` calls on one pool.
+    /// One slot per drain thread an execution ran, at most `workers`;
+    /// `None` = not spawned (or torn down after a failure). Locked for
+    /// all of `scatter_gather`, serializing `execute` calls on one pool.
     pool: Mutex<Vec<Option<PoolWorker>>>,
     /// Telemetry gathered during the most recent execution (cleared at
     /// the start of each), tagged with the worker slot index that ran
@@ -352,20 +368,18 @@ impl PoolExecutor {
     }
 
     /// Registers an additional worker command — another host, say. Slot
-    /// `k` runs `commands[k % len]`, and the pool has at least one slot
-    /// per command, so extra commands are both load-spreading targets
-    /// and failover capacity: a slot whose freshly spawned worker fails
-    /// before completing a unit stops taking units while a slot running
-    /// another command still takes them.
+    /// `k` starts each execution on `commands[k % len]` and moves to the
+    /// next command after every failed attempt, so extra commands are
+    /// both load-spreading targets and failover capacity: a slot whose
+    /// host is dead fails one unit and then runs the next host's worker.
     pub fn add_worker(mut self, worker: WorkerCommand) -> PoolExecutor {
         self.commands.push(worker);
         self
     }
 
-    /// Sets the number of persistent worker processes (clamped to at
-    /// least 1, and at execution to at least one per registered
-    /// command). Changing the count tears down any existing pool on the
-    /// next execution.
+    /// Sets the most persistent worker processes an execution runs
+    /// (clamped to at least 1): one per pending unit, up to `workers`.
+    /// Lowering the count stops the extra workers on the next execution.
     pub fn workers(mut self, workers: usize) -> PoolExecutor {
         self.workers = workers.max(1);
         self
@@ -398,21 +412,12 @@ impl PoolExecutor {
         self
     }
 
-    /// Takes the telemetry collected by the most recent execution,
-    /// sorted by `(task_id, attempt)`. One line per *successful* unit;
-    /// timing is worker-side wall time. A side channel: nothing here
-    /// feeds the campaign report.
-    pub fn take_telemetry(&self) -> Vec<UnitTelemetry> {
-        self.take_worker_telemetry()
-            .into_iter()
-            .map(|(_, u)| u)
-            .collect()
-    }
-
-    /// [`PoolExecutor::take_telemetry`] keeping the worker slot index
-    /// each unit ran on — the raw material of a per-worker
-    /// [`UtilizationReport`]. Sorted by `(task_id, attempt)` like the
-    /// untagged form.
+    /// Takes the telemetry collected by the most recent execution, each
+    /// line tagged with the worker slot index the unit ran on — the raw
+    /// material of a per-worker [`UtilizationReport`]. Sorted by
+    /// `(task_id, attempt)`; one line per *successful* unit; timing is
+    /// worker-side wall time. A side channel: nothing here feeds the
+    /// campaign report.
     pub fn take_worker_telemetry(&self) -> Vec<(usize, UnitTelemetry)> {
         let mut t = std::mem::take(&mut *lock(&self.telemetry));
         t.sort_by_key(|(_, u)| (u.task_id, u.attempt));
@@ -420,14 +425,13 @@ impl PoolExecutor {
     }
 
     /// The scatter/gather core: one drain thread per worker slot (at
-    /// most one per pending unit, but one per command while any unit is
-    /// pending, so a dead command's unit can fail over), each pulling
-    /// `(unit, attempt)` tasks off the shared queue and feeding them to
-    /// its persistent worker (spawning/respawning it as needed). Unit
-    /// outcomes land in `slots` indexed by unit; units are contiguous and
-    /// ascending, so the gather merges them in index order. With
-    /// `keep_records` false, each unit's buffer is dropped right after
-    /// its sink release: stats-only gathers hold O(unit size), not O(n).
+    /// most one per pending unit), each pulling `(unit, attempt)` tasks
+    /// off the shared queue and feeding them to its persistent worker
+    /// (spawning/respawning it as needed). Unit outcomes land in `slots`
+    /// indexed by unit; units are contiguous and ascending, so the gather
+    /// merges them in index order. With `keep_records` false, each unit's
+    /// buffer is dropped right after its sink release: stats-only gathers
+    /// hold O(unit size), not O(n).
     fn scatter_gather(
         &self,
         spec: &CampaignSpec,
@@ -441,19 +445,15 @@ impl PoolExecutor {
             // (or feed workers) for it.
             return Err(ExecError::SinkClosed);
         }
-        let workers = self.workers.max(self.commands.len());
         let unit = match self.unit {
-            0 => (n / (workers * 4)).max(1),
+            0 => (n / self.workers.saturating_mul(4)).max(1),
             u => u,
         };
         let units = plan_units(n, unit);
 
         let mut pool = lock(&self.pool);
-        if pool.len() != workers {
-            // Worker count changed since the last run: drop the old pool
-            // (each worker's Drop kills and reaps it) and start fresh.
-            *pool = std::iter::repeat_with(|| None).take(workers).collect();
-        }
+        // A lowered worker count stops (drops) the extra workers.
+        pool.truncate(self.workers);
         lock(&self.telemetry).clear();
 
         // Cache fast path: cached units replay into their slots before
@@ -469,28 +469,36 @@ impl PoolExecutor {
             keep_records,
             &mut slot_init,
         )?;
-        let len = self.commands.len();
-        let drains = match pending.len() {
-            0 => 0,
-            p => workers.min(p.max(len)),
+        // Slots are sized by work, not by the request.
+        let drains = self.workers.min(pending.len());
+        if pool.len() < drains {
+            pool.resize_with(drains, || None);
+        }
+
+        let drain = Drain {
+            queue: Mutex::new(WorkQueue {
+                tasks: pending,
+                fatal: None,
+            }),
+            kills: KillSwitch::default(),
+            sink: &sink,
         };
-        let drain = Drain::new(pending, len, drains, &sink);
         let slots: Mutex<Vec<Option<UnitOutcome>>> = Mutex::new(slot_init);
+        let len = self.commands.len();
 
         std::thread::scope(|scope| {
             let (drain, slots, units, telemetry) = (&drain, &slots, &units, &self.telemetry);
             for (widx, slot) in pool.iter_mut().enumerate().take(drains) {
-                let command = &self.commands[widx % len];
                 scope.spawn(move || {
-                    let mut claim = Claim::new(drain, widx % len);
-                    while let Some((k, attempt)) = claim.next() {
+                    let mut command = widx % len;
+                    while let Some((k, attempt)) = drain.next() {
                         let task = UnitTask {
                             task_id: k as u32,
                             attempt,
                             range: units[k].clone(),
                         };
-                        let fresh = slot.is_none();
-                        match run_pool_unit(slot, command, spec, seed, &task, &drain.kills) {
+                        let worker = &self.commands[command];
+                        match run_pool_unit(slot, worker, spec, seed, &task, &drain.kills) {
                             Ok((mut outcome, unit_telemetry)) => {
                                 // Success releases the unit's buffered
                                 // records to the sink exactly once; a
@@ -527,9 +535,11 @@ impl PoolExecutor {
                                 break;
                             }
                             Err(_) => {
-                                if claim.requeue((k, attempt + 1), fresh) {
-                                    break;
-                                }
+                                // Fail over to the next command. This thread
+                                // keeps pulling, so the re-queued unit
+                                // always has a live puller.
+                                lock(&drain.queue).tasks.push_back((k, attempt + 1));
+                                command = (command + 1) % len;
                             }
                         }
                     }
@@ -588,16 +598,9 @@ impl Executor for PoolExecutor {
     }
 }
 
-/// The pool's work queue, the one lock its drain threads share. It also
-/// counts the units handed out but not settled, so an idle thread waits
-/// while a sibling's unit may still re-queue, and the threads still
-/// taking units per worker command, so a slot retires only while a slot
-/// running another command is left to pick its unit up.
-#[derive(Default)]
+/// The pool's work queue, the one lock its drain threads share.
 struct WorkQueue {
     tasks: VecDeque<(usize, u32)>,
-    in_flight: usize,
-    taking: Vec<usize>,
     /// The first fatal error; once set, every drain thread stops.
     fatal: Option<ExecError>,
 }
@@ -605,133 +608,40 @@ struct WorkQueue {
 /// What the drain threads of one pool run share.
 struct Drain<'a> {
     queue: Mutex<WorkQueue>,
-    /// Signalled when a task is re-queued or the run ends.
-    ready: Condvar,
     kills: KillSwitch,
     sink: &'a Option<Arc<dyn RecordSink>>,
 }
 
-impl<'a> Drain<'a> {
-    fn new(
-        tasks: VecDeque<(usize, u32)>,
-        commands: usize,
-        drains: usize,
-        sink: &'a Option<Arc<dyn RecordSink>>,
-    ) -> Drain<'a> {
-        let mut taking = vec![0; commands];
-        (0..drains).for_each(|k| taking[k % commands] += 1);
-        Drain {
-            queue: Mutex::new(WorkQueue {
-                tasks,
-                taking,
-                ..WorkQueue::default()
-            }),
-            ready: Condvar::new(),
-            kills: KillSwitch::default(),
-            sink,
+impl Drain<'_> {
+    /// Hands out the next task; `None` once the queue is empty or the
+    /// run has failed. A thread that re-queues a unit pulls again, so an
+    /// empty queue means no unit is left for the caller.
+    fn next(&self) -> Option<(usize, u32)> {
+        let mut q = lock(&self.queue);
+        if q.fatal.is_some() {
+            return None;
         }
+        // A closed sink means the consumer is gone for good: fail the run
+        // and kill in-flight workers rather than drain the rest of the
+        // queue into the void.
+        if self.sink.as_ref().is_some_and(|s| s.is_closed()) {
+            drop(q);
+            self.fail(ExecError::SinkClosed);
+            return None;
+        }
+        q.tasks.pop_front()
     }
 
-    /// Records the first fatal error, wakes idle drain threads so they
-    /// exit, and kills every in-flight worker (the run is already lost,
-    /// so they are not waited out). The caller must not hold the queue
-    /// lock.
+    /// Records the first fatal error and kills every in-flight worker
+    /// (the run is already lost, so they are not waited out). The caller
+    /// must not hold the queue lock.
     fn fail(&self, err: ExecError) {
         let mut q = lock(&self.queue);
         let first = q.fatal.is_none();
         q.fatal.get_or_insert(err);
         drop(q);
-        self.ready.notify_all();
         if first {
             self.kills.abort();
-        }
-    }
-}
-
-/// A drain thread's hold on the unit it is running. The hold settles on
-/// the thread's next queue visit ([`Claim::next`]), when the unit is
-/// re-queued ([`Claim::requeue`]), or on drop — so idle siblings never
-/// wait for a unit whose thread is gone.
-struct Claim<'d, 'a> {
-    drain: &'d Drain<'a>,
-    /// Index of the worker command this thread's slot runs.
-    command: usize,
-    held: bool,
-}
-
-impl<'d, 'a> Claim<'d, 'a> {
-    fn new(drain: &'d Drain<'a>, command: usize) -> Claim<'d, 'a> {
-        Claim {
-            drain,
-            command,
-            held: false,
-        }
-    }
-
-    /// Settles the previous unit and hands out the next task, waiting
-    /// while the queue is empty but a sibling's unit may still re-queue.
-    /// `None` once the run is drained or has failed.
-    fn next(&mut self) -> Option<(usize, u32)> {
-        let drain = self.drain;
-        let mut q = lock(&drain.queue);
-        if std::mem::take(&mut self.held) {
-            q.in_flight -= 1;
-        }
-        loop {
-            if q.fatal.is_some() {
-                return None;
-            }
-            // A closed sink means the consumer is gone for good: fail the
-            // run and kill in-flight workers rather than drain the rest
-            // of the queue into the void.
-            if drain.sink.as_ref().is_some_and(|s| s.is_closed()) {
-                drop(q);
-                drain.fail(ExecError::SinkClosed);
-                return None;
-            }
-            if let Some(task) = q.tasks.pop_front() {
-                q.in_flight += 1;
-                self.held = true;
-                return Some(task);
-            }
-            if q.in_flight == 0 {
-                // Nothing queued and nothing left that could re-queue.
-                drain.ready.notify_all();
-                return None;
-            }
-            q = drain.ready.wait(q).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Re-queues the failed unit as `task` (its next attempt) and
-    /// returns whether the calling slot retires: it does when its fresh
-    /// worker failed and a slot running another command still takes
-    /// units. Slots of one command would all meet the same failure, so a
-    /// one-command pool respawns instead, as does the last taking slot.
-    fn requeue(&mut self, task: (usize, u32), fresh: bool) -> bool {
-        let mut q = lock(&self.drain.queue);
-        q.tasks.push_back(task);
-        q.in_flight -= 1;
-        self.held = false;
-        let mine = self.command;
-        let retire = fresh
-            && q.taking
-                .iter()
-                .enumerate()
-                .any(|(c, &t)| c != mine && t > 0);
-        if retire {
-            q.taking[mine] -= 1;
-        }
-        self.drain.ready.notify_one();
-        retire
-    }
-}
-
-impl Drop for Claim<'_, '_> {
-    fn drop(&mut self) {
-        if self.held {
-            lock(&self.drain.queue).in_flight -= 1;
-            self.drain.ready.notify_all();
         }
     }
 }
@@ -1189,13 +1099,15 @@ mod tests {
     }
 
     /// A sinkless drain over `tasks` first attempts.
-    fn drain(tasks: usize, commands: usize, drains: usize) -> Drain<'static> {
-        Drain::new(
-            (0..tasks).map(|k| (k, 0)).collect(),
-            commands,
-            drains,
-            &None,
-        )
+    fn drain(tasks: usize) -> Drain<'static> {
+        Drain {
+            queue: Mutex::new(WorkQueue {
+                tasks: (0..tasks).map(|k| (k, 0)).collect(),
+                fatal: None,
+            }),
+            kills: KillSwitch::default(),
+            sink: &None,
+        }
     }
 
     #[test]
@@ -1226,8 +1138,9 @@ mod tests {
 
     #[test]
     fn spawn_failure_exhausts_the_attempt_budget() {
-        // Every registered command is dead: the first slot to fail
-        // retires, the last one keeps retrying until the budget is gone.
+        // Every registered command is dead: each failed attempt moves its
+        // slot to the other command, and the first unit to fail all three
+        // attempts exhausts the budget.
         let exec = PoolExecutor::new(WorkerCommand::new("/nonexistent/a"))
             .add_worker(WorkerCommand::new("/nonexistent/b"))
             .workers(2)
@@ -1248,67 +1161,25 @@ mod tests {
     }
 
     #[test]
-    fn failing_workers_are_excluded_in_favor_of_survivors() {
-        let d = drain(3, 2, 2);
-        let (mut a, mut b) = (Claim::new(&d, 0), Claim::new(&d, 1));
-        assert_eq!(a.next(), Some((0, 0)));
-        assert_eq!(b.next(), Some((1, 0)));
-        // A proven worker's failure keeps its slot taking units.
-        assert!(!a.requeue((0, 1), false));
-        // A fresh worker's failure retires its slot while b, running
-        // another command, still takes.
-        assert_eq!(a.next(), Some((2, 0)));
-        assert!(a.requeue((2, 1), true), "fresh failure retires the slot");
-        drop(a);
-        // The survivor picks up both re-queued units, then drains out.
-        assert_eq!(b.next(), Some((0, 1)));
-        assert_eq!(b.next(), Some((2, 1)));
-        assert_eq!(b.next(), None);
-        let q = lock(&d.queue);
-        assert_eq!((q.in_flight, q.taking.as_slice()), (0, &[0, 1][..]));
-    }
-
-    #[test]
-    fn a_transiently_failing_sole_worker_is_retried_not_abandoned() {
-        // The last slot taking units never retires, however its fresh
-        // worker failed: the unit comes straight back to it.
-        let d = drain(1, 1, 1);
-        let mut only = Claim::new(&d, 0);
-        assert_eq!(only.next(), Some((0, 0)));
-        assert!(!only.requeue((0, 1), true), "the sole slot must not retire");
-        assert_eq!(only.next(), Some((0, 1)));
-        assert_eq!(only.next(), None);
-
-        // Nor do slots of a single command retire: each would meet the
-        // same failure, so both keep respawning and taking units.
-        let d = drain(2, 1, 2);
-        let (mut a, mut b) = (Claim::new(&d, 0), Claim::new(&d, 0));
-        assert_eq!(a.next(), Some((0, 0)));
-        assert_eq!(b.next(), Some((1, 0)));
-        assert!(!a.requeue((0, 1), true), "one command: no retirement");
-        assert!(!b.requeue((1, 1), true), "one command: no retirement");
-        assert_eq!(lock(&d.queue).taking, [2]);
-    }
-
-    #[test]
     fn repeated_failures_never_deadlock_a_waiting_sibling() {
-        // Two threads fail the run at once while a sibling waits in
-        // `next()` for a held unit: every thread must come back. A helper
-        // thread turns a deadlock or lost wake-up into a timeout failure.
+        // Two threads fail the run at once while a sibling pulls tasks:
+        // every thread must come back, and the sibling must stop pulling
+        // once the run has failed. A helper thread turns a deadlock into
+        // a timeout failure.
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             for _ in 0..300 {
-                let d = drain(1, 1, 3);
-                let mut holder = Claim::new(&d, 0);
-                assert_eq!(holder.next(), Some((0, 0)));
+                let d = drain(1_000);
+                assert_eq!(d.next(), Some((0, 0)));
                 std::thread::scope(|s| {
-                    let waiter = s.spawn(|| Claim::new(&d, 0).next());
+                    let sibling = s.spawn(|| while d.next().is_some() {});
                     for _ in 0..2 {
                         s.spawn(|| d.fail(ExecError::SinkClosed));
                     }
-                    assert_eq!(waiter.join().unwrap(), None);
+                    sibling.join().unwrap();
                 });
                 assert!(matches!(lock(&d.queue).fatal, Some(ExecError::SinkClosed)));
+                assert_eq!(d.next(), None, "a failed run hands out no task");
             }
             done.send(()).unwrap();
         });
@@ -1358,7 +1229,7 @@ mod tests {
             }
             ref other => panic!("expected Exhausted, got {other}"),
         }
-        assert!(exec.take_telemetry().is_empty());
+        assert!(exec.take_worker_telemetry().is_empty());
     }
 
     #[test]

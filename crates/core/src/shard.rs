@@ -175,8 +175,10 @@ pub struct CampaignRequest {
     pub n: usize,
     /// Which executor backend runs the campaign.
     pub transport: TransportSpec,
-    /// Worker count for the process-backed transports (`0` = server
-    /// default). Ignored by `local`.
+    /// Worker count for the process-backed transports (`0` means one
+    /// worker). `rv-serve` spawns at most one worker per host core; the
+    /// `subprocess` unit plan follows this requested count. Ignored by
+    /// `local`.
     pub workers: usize,
     /// Steal-unit size in indices for the pool transport (`0` = auto;
     /// the subprocess transport always uses `⌈n / workers⌉`).

@@ -40,11 +40,10 @@
 //! ```
 
 use rv_core::cache::{CacheError, CachedExecutor, ResultCache};
-use rv_core::exec::{Executor, LocalExecutor, PoolExecutor, UtilizationReport};
+use rv_core::exec::{Executor, LocalExecutor, PoolExecutor, UtilizationReport, WorkerCommand};
 use rv_core::shard::{CampaignSpec, SolverSpec, UnitDone, UnitTelemetry};
 use rv_core::wire::Line;
 use rv_core::{wire, JsonLinesSink};
-use rv_experiments::runner::worker_command;
 use rv_model::TargetClass;
 use std::io::BufRead;
 use std::sync::Arc;
@@ -297,7 +296,7 @@ fn campaign(args: &[String]) {
         cap => shards.min(cap),
     };
     let pool = (transport != "local").then(|| {
-        let mut worker = worker_command(&own_binary(), workers.min(n));
+        let mut worker = WorkerCommand::rv_shard(own_binary(), workers.min(n));
         let unit = match transport {
             "pool" => unit,
             "subprocess" => n.div_ceil(shards),

@@ -10,7 +10,6 @@
 //! display helpers for tables.
 
 use crate::util::fnum;
-use std::path::Path;
 
 pub use rv_core::batch::{
     Campaign, CampaignReport, CampaignStats as Summary, RunRecord as RunResult, StatsAccumulator,
@@ -18,21 +17,6 @@ pub use rv_core::batch::{
 pub use rv_core::exec::{ExecError, Executor, LocalExecutor, PoolExecutor, WorkerCommand};
 pub use rv_core::shard::{CampaignSpec, ShardError, SolverSpec};
 pub use rv_core::{Aur, Closure, Dedicated, FixedPair, Solver, Visibility};
-
-/// The standard worker invocation for an `rv-shard` binary at `worker`:
-/// `worker` mode with the host's cores split across `concurrency`
-/// same-host workers (`cores / concurrency`, minimum 1 thread each) so a
-/// local pool does not oversubscribe the CPU. Pass the number of
-/// workers that actually run at once. Thread counts never change a
-/// single output byte.
-pub fn worker_command(worker: &Path, concurrency: usize) -> WorkerCommand {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let per_worker = (cores / concurrency.max(1)).max(1);
-    WorkerCommand::new(worker)
-        .arg("worker")
-        .arg("--threads")
-        .arg(per_worker.to_string())
-}
 
 /// Table-display helpers for [`Summary`] (kept out of `rv-core`, which
 /// stays formatting-free).

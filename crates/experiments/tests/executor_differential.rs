@@ -296,7 +296,11 @@ fn pool_telemetry_reports_every_unit_exactly_once() {
     let (seed, n, unit) = (5, 23, 5);
     let exec = PoolExecutor::new(worker_cmd()).workers(2).unit(unit);
     exec.execute_stats(&spec, seed, n, None).expect("pool run");
-    let telemetry = exec.take_telemetry();
+    let telemetry: Vec<_> = exec
+        .take_worker_telemetry()
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect();
     assert_eq!(telemetry.len(), n.div_ceil(unit), "one line per unit");
     for (k, t) in telemetry.iter().enumerate() {
         assert_eq!(t.task_id, k as u32);
@@ -306,8 +310,8 @@ fn pool_telemetry_reports_every_unit_exactly_once() {
         telemetry.iter().any(|t| t.wall_ns > 0),
         "worker-side wall time must be measured"
     );
-    // take_telemetry drains: a second take is empty until the next run.
-    assert!(exec.take_telemetry().is_empty());
+    // The take drains: a second take is empty until the next run.
+    assert!(exec.take_worker_telemetry().is_empty());
 }
 
 #[test]
@@ -335,9 +339,9 @@ fn flaky_workers_exactly_once_delivery_stress() {
         assert_same_records_by_index(&encoded(&sink.take()), &reference(&local), ctx);
     };
 
-    // A pool of one command keeps every slot after a fresh worker's
-    // failure, so more than one slot completes units whenever there are
-    // several.
+    // A failed attempt never stops a slot of a one-command pool (it
+    // respawns its worker and keeps pulling), so more than one slot
+    // completes units whenever there are several.
     let assert_slots_share = |exec: &PoolExecutor, workers: usize, ctx: &str| {
         let mut slots: Vec<usize> = exec
             .take_worker_telemetry()
@@ -419,11 +423,11 @@ fn execute_stats_matches_execute_and_still_streams_exactly_once() {
 fn failed_ranges_rescatter_onto_surviving_workers() {
     let spec = mixed_spec();
     let seed = 11;
-    // Slot k runs command k % 2, and command 0 always fails before
-    // speaking the protocol. Each dead slot fails one unit, then stops
-    // taking units while a live slot still does; its units re-scatter
-    // onto the survivors. A unit can meet each dead slot at most once,
-    // so one retry per dead slot is always enough.
+    // Slot k starts on command k % 2, and command 0 always fails before
+    // speaking the protocol. Every failed attempt moves its slot to the
+    // next command, so each slot that starts on the dead command fails
+    // at most one attempt before it runs the live one: the failed
+    // attempts, summed over the run, never exceed those slots.
     let dead = WorkerCommand::new("/nonexistent/rv-shard-on-a-dead-host");
     let failover = |workers: usize, unit: usize, retries: u32| {
         PoolExecutor::new(dead.clone())
@@ -432,35 +436,38 @@ fn failed_ranges_rescatter_onto_surviving_workers() {
             .unit(unit)
             .retries(retries)
     };
-    let check = |exec: &PoolExecutor, n: usize, ctx: &str| {
+    let check = |exec: &PoolExecutor, n: usize, dead_slots: u32, ctx: &str| {
         assert_backend_matches(exec, &spec, seed, n, ctx);
-        // Only the live command's slots completed units.
         let telemetry = exec.take_worker_telemetry();
         assert!(!telemetry.is_empty(), "{ctx}: no unit ran");
+        let failed: u32 = telemetry.iter().map(|(_, t)| t.attempt).sum();
         assert!(
-            telemetry.iter().all(|(slot, _)| slot % 2 == 1),
-            "{ctx}: a dead slot reported a unit"
+            failed <= dead_slots,
+            "{ctx}: {failed} failed attempts, {dead_slots} slots start dead"
         );
+        telemetry
     };
 
     let n = 12usize;
-    for (workers, retries) in [(2usize, 1u32), (4, 2)] {
+    for (workers, retries, dead_slots) in [(2usize, 1u32, 1u32), (4, 2, 2)] {
         let exec = failover(workers, n.div_ceil(workers), retries);
-        check(
-            &exec,
-            n,
-            &format!("re-scatter onto survivors, {workers} slots"),
-        );
+        let ctx = format!("re-scatter onto survivors, {workers} slots");
+        check(&exec, n, dead_slots, &ctx);
     }
-    // One worker asked for, two commands registered: every command gets
-    // a slot, so the dead first command still fails over.
-    check(
+    // One worker over two commands: the only slot starts on the dead
+    // command and rotates to the live one, so one process runs it all.
+    let telemetry = check(
         &failover(1, 3, 1),
         n,
+        1,
         "workers(1) with a dead first command",
     );
+    assert!(
+        telemetry.iter().all(|(slot, _)| *slot == 0),
+        "workers(1) ran on more than one slot"
+    );
     // A single pending unit still reaches the live command.
-    check(&failover(2, 1, 1), 1, "n = 1");
+    check(&failover(2, 1, 1), 1, 1, "n = 1");
 
     // One cache miss: a warm cache leaves a single unit to run, and it
     // too must fail over rather than exhaust on the dead command.
@@ -472,7 +479,7 @@ fn failed_ranges_rescatter_onto_surviving_workers() {
         .execute_stats(&spec, seed, n, None)
         .expect("warm the cache");
     let exec = failover(2, 6, 1).cache(Arc::clone(&cache));
-    check(&exec, n + 1, "one cache miss");
+    check(&exec, n + 1, 1, "one cache miss");
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (2, 3), "{stats:?}");
     let _ = fs::remove_dir_all(&dir);
@@ -980,7 +987,7 @@ fn cache_warm_reruns_replay_byte_identically_and_execute_zero_shards() {
     let pool = pool_cache.stats();
     assert_eq!((pool.hits, pool.misses), (4, 0), "{pool:?}");
     assert!(
-        exec.take_telemetry().is_empty(),
+        exec.take_worker_telemetry().is_empty(),
         "cached units never ran, so none may report telemetry"
     );
     let _ = fs::remove_dir_all(&dir);

@@ -147,6 +147,43 @@ fn served_subprocess_campaign_is_byte_identical() {
 }
 
 #[test]
+fn absurd_worker_counts_are_capped_not_allocated() {
+    // One request line asking for a billion workers must neither abort
+    // the server (a slot per requested worker once meant a 144 GB
+    // allocation) nor fork one process per unit beyond the host's cores.
+    // Bytes still match local, and the subprocess unit plan still
+    // follows the requested count: ⌈8 / 10⁹⌉ = 1 index per unit.
+    let (addr, handle, join) = start(with_worker());
+    let mut client = Client::connect(addr).expect("connect");
+    let (seed, n) = (13, 8);
+    let run = client
+        .run_campaign(
+            &spec(),
+            seed,
+            &request(n, TransportSpec::Pool, 1_000_000_000),
+        )
+        .expect("served pool campaign, huge worker count");
+    assert_served_matches_local(&run, &spec(), seed, n, "pool, 10^9 workers");
+    let run = client
+        .run_campaign(
+            &spec(),
+            seed,
+            &request(n, TransportSpec::Subprocess, 1_000_000_000),
+        )
+        .expect("served subprocess campaign, huge worker count");
+    assert_served_matches_local(&run, &spec(), seed, n, "subprocess, 10^9 workers");
+    assert_eq!(run.telemetry.len(), n, "one telemetry row per 1-index unit");
+    // The same server still serves an ordinary campaign.
+    let run = client
+        .run_campaign(&spec(), 42, &request(16, TransportSpec::Local, 0))
+        .expect("served campaign after the huge requests");
+    assert_served_matches_local(&run, &spec(), 42, 16, "local after huge requests");
+    drop(client);
+    handle.shutdown();
+    join.join().expect("join");
+}
+
+#[test]
 fn concurrent_clients_each_get_byte_identical_streams() {
     // Two threads per campaign, whatever the host's core count, so the
     // streams arrive in completion order.

@@ -587,14 +587,24 @@ fn run_campaign(
             .map_err(|e| client_gone(&out, e))
         }
         TransportSpec::Pool | TransportSpec::Subprocess => {
+            let Some(path) = &config.worker else {
+                return Err(ErrorLine::new(
+                    ErrorCode::Unsupported,
+                    "no worker binary configured; only the \"local\" transport is served",
+                ));
+            };
             // `subprocess` is the pool configured like a scatter: one
-            // unit of ⌈n / workers⌉ indices per worker.
-            let workers = req.workers.max(1);
+            // unit of ⌈n / workers⌉ indices per requested worker. The
+            // processes actually spawned are capped at the host's cores,
+            // so a request line cannot fork-bomb the server; the unit
+            // plan (and so every telemetry row) stays host-independent.
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            let workers = req.workers.clamp(1, cores);
             let unit = match req.transport {
-                TransportSpec::Subprocess => req.n.div_ceil(workers),
+                TransportSpec::Subprocess => req.n.div_ceil(req.workers.max(1)),
                 _ => req.unit,
             };
-            let mut pool = PoolExecutor::new(worker_command(config, workers)?)
+            let mut pool = PoolExecutor::new(WorkerCommand::rv_shard(path, workers))
                 .workers(workers)
                 .unit(unit)
                 .retries(req.retries);
@@ -604,7 +614,8 @@ fn run_campaign(
             let stats = pool
                 .execute_stats(spec, seed, req.n, Some(sink))
                 .map_err(|e| client_gone(&out, e))?;
-            Ok((stats, pool.take_telemetry()))
+            let telemetry = pool.take_worker_telemetry();
+            Ok((stats, telemetry.into_iter().map(|(_, t)| t).collect()))
         }
     }
 }
@@ -652,26 +663,6 @@ fn resolve_cache(config: &ServeConfig, name: &str) -> Result<Arc<ResultCache>, E
     ResultCache::open(root.join(name))
         .map(Arc::new)
         .map_err(|e| ErrorLine::new(ErrorCode::Protocol, e))
-}
-
-/// The worker invocation for process-backed transports: the configured
-/// `rv-shard`-compatible binary in `worker` mode, its in-process thread
-/// count sized so `concurrency` simultaneous workers share the cores.
-fn worker_command(config: &ServeConfig, concurrency: usize) -> Result<WorkerCommand, ErrorLine> {
-    let Some(path) = &config.worker else {
-        return Err(ErrorLine::new(
-            ErrorCode::Unsupported,
-            "no worker binary configured; only the \"local\" transport is served",
-        ));
-    };
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let threads = (cores / concurrency.max(1)).max(1);
-    Ok(WorkerCommand::new(path)
-        .arg("worker")
-        .arg("--threads")
-        .arg(threads.to_string()))
 }
 
 // ---------------------------------------------------------------------------
