@@ -1,226 +1,100 @@
-//! Chunked, shared-nothing parallel map.
+//! Chunked parallel map over an index range, in safe code.
 //!
-//! Workers claim *chunks* of the index range from a single atomic counter
-//! (dynamic load balancing — fast workers steal the chunks slow workers
-//! never reach) and write results straight into disjoint regions of one
-//! pre-allocated output buffer. There is no per-item lock anywhere on the
-//! hot path: the only shared mutable state is the chunk counter and a
-//! panic slot that is touched exclusively while unwinding.
+//! The output is one buffer of `Option<R>` slots split into disjoint
+//! `&mut` chunks. Workers claim the next chunk from a single
+//! mutex-guarded chunk iterator (dynamic load balancing: fast workers
+//! take the chunks slow workers never reach) and fill it in place, so
+//! the only shared mutable state is one lock taken per claimed chunk and
+//! a panic slot touched only when an item panics. The borrow checker
+//! proves the chunks disjoint.
 //!
 //! Output order equals input order, so anything derived from the result
 //! vector is independent of thread scheduling — the property
 //! [`crate::batch`] builds its determinism guarantee on.
 
-use std::mem::{ManuallyDrop, MaybeUninit};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Upper bound on items per claimed chunk. Small enough for good load
 /// balance on skewed workloads (one simulation can cost 10^6× another),
-/// large enough that counter traffic is negligible for cheap closures.
+/// large enough that lock traffic is negligible for cheap closures.
 const MAX_CHUNK: usize = 64;
 
-/// Pointer to the shared output buffer. Workers write disjoint index
-/// ranges, which is why handing the raw pointer to every thread is sound.
-struct OutPtr<R>(*mut MaybeUninit<R>);
-
-// SAFETY: OutPtr is only ever used to write disjoint index ranges (one
-// chunk per worker), so sending it across threads cannot race.
-unsafe impl<R: Send> Send for OutPtr<R> {}
-// SAFETY: shared access is sound for the same reason — writes through
-// `&OutPtr` target indices owned exclusively by the writing thread.
-unsafe impl<R: Send> Sync for OutPtr<R> {}
-
-impl<R> OutPtr<R> {
-    /// # Safety
-    ///
-    /// `idx` must be in bounds and written by exactly one thread.
-    unsafe fn write(&self, idx: usize, value: R) {
-        self.0.add(idx).write(MaybeUninit::new(value));
-    }
-}
-
-/// What the unwinding bookkeeping records: which prefix of which chunk
-/// was initialised before a worker's closure panicked, plus the first
-/// panic payload (later ones are dropped, matching rayon's behaviour).
-struct PanicLog {
-    first: Option<(usize, Box<dyn std::any::Any + Send>)>,
-    /// `(chunk_start, failed_index)` per panicked chunk: items in
-    /// `chunk_start..failed_index` are initialised and must be dropped.
-    partial: Vec<(usize, usize)>,
-}
-
-/// Applies `f` to every item in parallel, preserving input order in the
-/// output. Uses all available cores; see [`par_map_with`] for an explicit
-/// thread count.
+/// Applies `f` to every index in `0..n` on `threads` workers (`0` = all
+/// available cores) and returns the results in index order.
+///
+/// The calling thread is one of the workers: it spawns `threads - 1`
+/// scoped threads and then drains the same chunk queue itself, so
+/// `threads = 1` runs every item on the caller.
 ///
 /// # Panics
 ///
-/// If `f` panics for some item, the panic is propagated to the caller
-/// with a message naming the failing index.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_with(0, items, f)
-}
-
-/// [`par_map`] with an explicit worker count (`0` = all available cores).
-pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_with(threads, items.len(), |i| f(&items[i]))
-}
-
-/// Index-driven variant: applies `f` to every index in `0..n` in
-/// parallel, returning results in index order. This is the primitive the
-/// batch engine uses to run seed-indexed workloads without materialising
-/// them first.
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_indexed_with(0, n, f)
-}
-
-/// [`par_map_indexed`] with an explicit worker count (`0` = all cores).
+/// If `f` panics for some item, no further chunks are claimed, every
+/// finished result is dropped, and the panic is re-raised on the caller
+/// as `par_map: worker panicked at item {i}: {msg}`.
 pub fn par_map_indexed_with<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if n == 0 {
-        return Vec::new();
+    let workers = match threads {
+        0 => std::thread::available_parallelism().map_or(4, |p| p.get()),
+        t => t,
     }
-    let workers = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-    } else {
-        threads
-    }
-    .min(n);
-    if workers <= 1 {
-        // Same contract as the parallel path: a panic is re-raised naming
-        // the failing index.
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Ok(value) => out.push(value),
-                Err(payload) => {
-                    let msg = payload_message(payload.as_ref());
-                    panic!("par_map: worker panicked at item {i}: {msg}");
-                }
-            }
-        }
-        return out;
-    }
-
+    .min(n)
+    .max(1);
     // ~8 chunks per worker keeps the tail balanced without hammering the
-    // counter; cap so skewed items cannot hide inside huge chunks.
+    // lock; cap so skewed items cannot hide inside huge chunks.
     let chunk = (n / (workers * 8)).clamp(1, MAX_CHUNK);
-    let n_chunks = n.div_ceil(chunk);
 
-    let mut out: Vec<MaybeUninit<R>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
-    let out_ptr = OutPtr(out.as_mut_ptr());
-    let next_chunk = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-    let chunk_done: Vec<AtomicBool> = (0..n_chunks).map(|_| AtomicBool::new(false)).collect();
-    let panic_log = Mutex::new(PanicLog {
-        first: None,
-        partial: Vec::new(),
-    });
-
+    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    let chunks = Mutex::new(out.chunks_mut(chunk).enumerate());
+    let stop = AtomicBool::new(false);
+    let first_panic: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
+    // `f` runs outside both locks and under `catch_unwind`, so nothing
+    // panics while a lock is held and riding through poison is sound.
+    let drain = || {
+        while !stop.load(Ordering::Relaxed) {
+            let claimed = chunks.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((c, slots)) = claimed else { break };
+            for (i, slot) in (c * chunk..).zip(slots) {
+                match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                    Ok(value) => *slot = Some(value),
+                    Err(payload) => {
+                        stop.store(true, Ordering::Relaxed);
+                        let mut first = first_panic.lock().unwrap_or_else(PoisonError::into_inner);
+                        first.get_or_insert((i, payload));
+                        return;
+                    }
+                }
+            }
+        }
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                loop {
-                    if poisoned.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let start = c * chunk;
-                    let end = ((c + 1) * chunk).min(n);
-                    let mut cursor = start;
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        while cursor < end {
-                            let value = f(cursor);
-                            // SAFETY: disjoint-region write — index `cursor`
-                            // belongs to this chunk, this chunk was claimed
-                            // by exactly this worker via the atomic counter,
-                            // and `cursor < end <= n` keeps it in bounds.
-                            unsafe { out_ptr.write(cursor, value) };
-                            cursor += 1;
-                        }
-                    }));
-                    match run {
-                        Ok(()) => {
-                            chunk_done[c].store(true, Ordering::Release);
-                        }
-                        Err(payload) => {
-                            poisoned.store(true, Ordering::Relaxed);
-                            let mut log = panic_log.lock().unwrap_or_else(|e| e.into_inner());
-                            log.partial.push((start, cursor));
-                            if log.first.is_none() {
-                                log.first = Some((cursor, payload));
-                            }
-                            break;
-                        }
-                    }
-                }
-            });
+        for _ in 1..workers {
+            scope.spawn(drain);
         }
+        drain();
     });
 
-    let log = panic_log.into_inner().unwrap_or_else(|e| e.into_inner());
-    if let Some((failed_idx, payload)) = log.first {
-        // Drop everything that *was* initialised, then re-panic naming the
-        // failing index so the caller can find the bad input.
-        for (c, done) in chunk_done.iter().enumerate() {
-            if done.load(Ordering::Acquire) {
-                let start = c * chunk;
-                let end = ((c + 1) * chunk).min(n);
-                for slot in &mut out[start..end] {
-                    // SAFETY: `chunk_done[c]` was stored with Release only
-                    // after every slot in the chunk was written, and the
-                    // Acquire load above synchronizes with it.
-                    unsafe { slot.assume_init_drop() };
-                }
-            }
-        }
-        for (start, failed) in &log.partial {
-            for slot in &mut out[*start..*failed] {
-                // SAFETY: the panic log records exactly the initialised
-                // prefix `start..failed` of each panicked chunk; the Mutex
-                // write happened-before this post-join read.
-                unsafe { slot.assume_init_drop() };
-            }
-        }
+    if let Some((i, payload)) = first_panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
         let msg = payload_message(payload.as_ref());
-        panic!("par_map: worker panicked at item {failed_idx}: {msg}");
+        panic!("par_map: worker panicked at item {i}: {msg}");
     }
-
-    debug_assert!(chunk_done.iter().all(|d| d.load(Ordering::Acquire)));
-    let mut out = ManuallyDrop::new(out);
-    // SAFETY: every chunk completed (no panic reached this point), so every
-    // slot is initialised; `MaybeUninit<R>` has the same layout as `R`, and
-    // `ManuallyDrop` keeps the original Vec from freeing the buffer we
-    // reinterpret — length, capacity, and allocator are carried over as-is.
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), out.len(), out.capacity()) }
+    // No panic means every chunk was claimed and filled. `map` (unlike
+    // `flatten`) keeps the exact size, so the result is collected in place.
+    out.into_iter()
+        .map(|slot| slot.expect("no item panicked, so every slot is filled"))
+        .collect()
 }
 
 /// Best-effort extraction of a human-readable panic message.
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
+fn payload_message(payload: &(dyn Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -238,36 +112,51 @@ mod tests {
     #[test]
     fn maps_in_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, |x| x * 2);
+        let out = par_map_indexed_with(0, items.len(), |i| items[i] * 2);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<u64> = par_map(&[] as &[u64], |x: &u64| *x);
+        let items: &[u64] = &[];
+        let out: Vec<u64> = par_map_indexed_with(0, items.len(), |i| items[i]);
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_item() {
-        assert_eq!(par_map(&[7u64], |x| x + 1), vec![8]);
+        let items = [7u64];
+        assert_eq!(par_map_indexed_with(0, 1, |i| items[i] + 1), vec![8]);
     }
 
     #[test]
     fn indexed_matches_slice_map() {
         let items: Vec<u64> = (0..257).map(|i| i * 3 + 1).collect();
-        let a = par_map(&items, |x| x + 1);
-        let b = par_map_indexed(items.len(), |i| items[i] + 1);
+        let a: Vec<u64> = items.iter().map(|x| x + 1).collect();
+        let b = par_map_indexed_with(0, items.len(), |i| items[i] + 1);
         assert_eq!(a, b);
     }
 
     #[test]
     fn explicit_thread_counts_agree() {
         let items: Vec<u64> = (0..500).collect();
-        let seq = par_map_with(1, &items, |x| x ^ 0xABCD);
+        let seq = par_map_indexed_with(1, items.len(), |i| items[i] ^ 0xABCD);
         for threads in [2, 3, 8] {
-            assert_eq!(par_map_with(threads, &items, |x| x ^ 0xABCD), seq);
+            assert_eq!(
+                par_map_indexed_with(threads, items.len(), |i| items[i] ^ 0xABCD),
+                seq
+            );
         }
+    }
+
+    #[test]
+    fn one_worker_runs_every_item_on_the_calling_thread() {
+        // One-thread pool workers rely on this: `threads = 1` spawns no
+        // thread at all.
+        let caller = std::thread::current().id();
+        let ids = par_map_indexed_with(1, 300, |_| std::thread::current().id());
+        assert_eq!(ids.len(), 300);
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]
@@ -275,7 +164,8 @@ mod tests {
         // Item 0 is ~1000× the others: chunk stealing must still cover
         // everything exactly once.
         let items: Vec<u64> = (0..300).collect();
-        let out = par_map(&items, |&x| {
+        let out = par_map_indexed_with(0, items.len(), |i| {
+            let x = items[i];
             let spin = if x == 0 { 1_000_000 } else { 1_000 };
             let mut acc = x;
             for k in 0..spin {
@@ -289,7 +179,7 @@ mod tests {
     #[test]
     fn non_copy_results_survive() {
         let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, |x| vec![*x; 3]);
+        let out = par_map_indexed_with(0, items.len(), |i| vec![items[i]; 3]);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(v, &vec![i as u64; 3]);
         }
@@ -297,12 +187,13 @@ mod tests {
 
     #[test]
     fn panic_names_failing_index() {
-        // `0` (auto, may be sequential on a 1-core box), `1` (explicitly
-        // sequential) and `4` (parallel) must all surface the same shape.
+        // `0` (auto, may be one worker on a 1-core box), `1` (the caller
+        // alone) and `4` (parallel) must all surface the same shape.
         for threads in [0, 1, 4] {
             let items: Vec<u64> = (0..64).collect();
             let err = std::panic::catch_unwind(|| {
-                par_map_with(threads, &items, |&x| {
+                par_map_indexed_with(threads, items.len(), |i| {
+                    let x = items[i];
                     if x == 37 {
                         panic!("boom on {x}");
                     }
@@ -318,30 +209,41 @@ mod tests {
 
     #[test]
     fn panic_drops_completed_results() {
-        // Count drops of completed results to catch leaks/double-drops on
-        // the unwind path.
+        // Exact accounting on the unwind path: every value constructed is
+        // dropped exactly once (no leak, no double drop), and the failing
+        // item never constructs one.
+        static CONSTRUCTED: AtomicUsize = AtomicUsize::new(0);
         static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Counted(#[allow(dead_code)] u64);
+        static BUILT_100: AtomicBool = AtomicBool::new(false);
+        struct Counted;
+        impl Counted {
+            fn new(x: u64) -> Self {
+                CONSTRUCTED.fetch_add(1, Ordering::Relaxed);
+                if x == 100 {
+                    BUILT_100.store(true, Ordering::Relaxed);
+                }
+                Counted
+            }
+        }
         impl Drop for Counted {
             fn drop(&mut self) {
                 DROPS.fetch_add(1, Ordering::Relaxed);
             }
         }
-        DROPS.store(0, Ordering::Relaxed);
         let items: Vec<u64> = (0..128).collect();
         let result = std::panic::catch_unwind(|| {
-            par_map_with(2, &items, |&x| {
+            par_map_indexed_with(2, items.len(), |i| {
+                let x = items[i];
                 if x == 100 {
                     panic!("dropped");
                 }
-                Counted(x)
+                Counted::new(x)
             })
         });
         assert!(result.is_err());
-        // Exactly the constructed survivors are dropped — we cannot know
-        // how many chunks completed, but every drop must be unique and
-        // below the item count (item 100 never constructed a value).
+        let constructed = CONSTRUCTED.load(Ordering::Relaxed);
         let drops = DROPS.load(Ordering::Relaxed);
-        assert!(drops < 128, "dropped {drops} of 128");
+        assert_eq!(drops, constructed, "every constructed value drops once");
+        assert!(!BUILT_100.load(Ordering::Relaxed), "item 100 never built");
     }
 }

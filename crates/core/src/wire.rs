@@ -954,10 +954,13 @@ pub fn encode_campaign_spec(spec: &CampaignSpec, seed: u64) -> String {
     )
 }
 
+fn campaign_spec_of(v: &Value) -> Result<(CampaignSpec, u64), WireError> {
+    Ok((campaign_of(field(v, "campaign")?)?, get_u64(v, "seed")?))
+}
+
 /// Decodes a `kind: "campaign_spec"` line back into `(spec, seed)`.
 pub fn decode_campaign_spec(line: &str) -> Result<(CampaignSpec, u64), WireError> {
-    let v = header(line, "campaign_spec")?;
-    Ok((campaign_of(field(&v, "campaign")?)?, get_u64(&v, "seed")?))
+    campaign_spec_of(&header(line, "campaign_spec")?)
 }
 
 /// Encodes one pool work unit as a `kind: "task"` line — what the driver
@@ -970,11 +973,9 @@ pub fn encode_task(task: &UnitTask) -> String {
     )
 }
 
-/// Decodes a `kind: "task"` line.
-pub fn decode_task(line: &str) -> Result<UnitTask, WireError> {
-    let v = header(line, "task")?;
-    let start = get_usize(&v, "start")?;
-    let end = get_usize(&v, "end")?;
+fn task_of(v: &Value) -> Result<UnitTask, WireError> {
+    let start = get_usize(v, "start")?;
+    let end = get_usize(v, "end")?;
     if end < start {
         return Err(WireError::Field {
             field: "end",
@@ -982,10 +983,15 @@ pub fn decode_task(line: &str) -> Result<UnitTask, WireError> {
         });
     }
     Ok(UnitTask {
-        task_id: get_u32(&v, "task_id")?,
-        attempt: get_u32(&v, "attempt")?,
+        task_id: get_u32(v, "task_id")?,
+        attempt: get_u32(v, "attempt")?,
         range: start..end,
     })
+}
+
+/// Decodes a `kind: "task"` line.
+pub fn decode_task(line: &str) -> Result<UnitTask, WireError> {
+    task_of(&header(line, "task")?)
 }
 
 /// Encodes a per-unit telemetry report as a `kind: "unit_telemetry"`
@@ -999,14 +1005,17 @@ pub fn encode_unit_telemetry(t: &UnitTelemetry) -> String {
     )
 }
 
+fn unit_telemetry_of(v: &Value) -> Result<UnitTelemetry, WireError> {
+    Ok(UnitTelemetry {
+        task_id: get_u32(v, "task_id")?,
+        attempt: get_u32(v, "attempt")?,
+        wall_ns: get_u64(v, "wall_ns")?,
+    })
+}
+
 /// Decodes a `kind: "unit_telemetry"` line.
 pub fn decode_unit_telemetry(line: &str) -> Result<UnitTelemetry, WireError> {
-    let v = header(line, "unit_telemetry")?;
-    Ok(UnitTelemetry {
-        task_id: get_u32(&v, "task_id")?,
-        attempt: get_u32(&v, "attempt")?,
-        wall_ns: get_u64(&v, "wall_ns")?,
-    })
+    unit_telemetry_of(&header(line, "unit_telemetry")?)
 }
 
 /// Encodes a unit's gathered output as a `kind: "unit_done"` line — the
@@ -1021,14 +1030,17 @@ pub fn encode_unit_done(done: &UnitDone) -> String {
     )
 }
 
+fn unit_done_of(v: &Value) -> Result<UnitDone, WireError> {
+    Ok(UnitDone {
+        task_id: get_u32(v, "task_id")?,
+        start: get_usize(v, "start")?,
+        acc: acc_of(field(v, "acc")?)?,
+    })
+}
+
 /// Decodes a `kind: "unit_done"` line.
 pub fn decode_unit_done(line: &str) -> Result<UnitDone, WireError> {
-    let v = header(line, "unit_done")?;
-    Ok(UnitDone {
-        task_id: get_u32(&v, "task_id")?,
-        start: get_usize(&v, "start")?,
-        acc: acc_of(field(&v, "acc")?)?,
-    })
+    unit_done_of(&header(line, "unit_done")?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1056,16 +1068,9 @@ pub fn encode_request(req: &CampaignRequest) -> String {
     )
 }
 
-/// Decodes a `kind: "request"` line. `cache` may be a string (an
-/// opaque cache name the *server* resolves under its configured root —
-/// never a filesystem path), `null`, or absent entirely (requests from
-/// pre-cache clients) — the last two both mean "uncached". Name
-/// validation is the server's job, not the decoder's: the wire layer
-/// stays a pure codec.
-pub fn decode_request(line: &str) -> Result<CampaignRequest, WireError> {
-    let v = header(line, "request")?;
+fn request_of(v: &Value) -> Result<CampaignRequest, WireError> {
     let transport =
-        TransportSpec::from_name(get_str(&v, "transport")?).map_err(|e| WireError::Field {
+        TransportSpec::from_name(get_str(v, "transport")?).map_err(|e| WireError::Field {
             field: "transport",
             what: e.to_string(),
         })?;
@@ -1080,13 +1085,23 @@ pub fn decode_request(line: &str) -> Result<CampaignRequest, WireError> {
         }
     };
     Ok(CampaignRequest {
-        n: get_usize(&v, "n")?,
+        n: get_usize(v, "n")?,
         transport,
-        workers: get_usize(&v, "workers")?,
-        unit: get_usize(&v, "unit")?,
-        retries: get_u32(&v, "retries")?,
+        workers: get_usize(v, "workers")?,
+        unit: get_usize(v, "unit")?,
+        retries: get_u32(v, "retries")?,
         cache,
     })
+}
+
+/// Decodes a `kind: "request"` line. `cache` may be a string (an
+/// opaque cache name the *server* resolves under its configured root —
+/// never a filesystem path), `null`, or absent entirely (requests from
+/// pre-cache clients) — the last two both mean "uncached". Name
+/// validation is the server's job, not the decoder's: the wire layer
+/// stays a pure codec.
+pub fn decode_request(line: &str) -> Result<CampaignRequest, WireError> {
+    request_of(&header(line, "request")?)
 }
 
 fn stats_body(stats: &CampaignStats) -> String {
@@ -1288,18 +1303,21 @@ pub fn encode_error(err: &ErrorLine) -> String {
     )
 }
 
-/// Decodes a `kind: "error"` line.
-pub fn decode_error(line: &str) -> Result<ErrorLine, WireError> {
-    let v = header(line, "error")?;
-    let code_name = get_str(&v, "code")?;
+fn error_of(v: &Value) -> Result<ErrorLine, WireError> {
+    let code_name = get_str(v, "code")?;
     let code = ErrorCode::from_name(code_name).ok_or_else(|| WireError::Field {
         field: "code",
         what: format!("unknown error code {code_name:?}"),
     })?;
     Ok(ErrorLine {
         code,
-        message: get_str(&v, "message")?.to_string(),
+        message: get_str(v, "message")?.to_string(),
     })
+}
+
+/// Decodes a `kind: "error"` line.
+pub fn decode_error(line: &str) -> Result<ErrorLine, WireError> {
+    error_of(&header(line, "error")?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1348,17 +1366,17 @@ pub fn decode_line(line: &str) -> Result<Line, WireError> {
     let v = parse_headed(line)?;
     match get_str(&v, "kind")? {
         "record" => record_of(&v).map(|(index, record)| Line::Record { index, record }),
-        "class_stats" => decode_class_stats(line).map(Line::ClassStats),
-        "acc" => decode_accumulator(line).map(Line::Accumulator),
+        "class_stats" => class_stats_of(&v).map(Line::ClassStats),
+        "acc" => acc_of(field(&v, "acc")?).map(Line::Accumulator),
         "campaign_spec" => {
-            decode_campaign_spec(line).map(|(spec, seed)| Line::CampaignSpec { spec, seed })
+            campaign_spec_of(&v).map(|(spec, seed)| Line::CampaignSpec { spec, seed })
         }
-        "task" => decode_task(line).map(Line::Task),
-        "unit_telemetry" => decode_unit_telemetry(line).map(Line::UnitTelemetry),
-        "unit_done" => decode_unit_done(line).map(Line::UnitDone),
-        "request" => decode_request(line).map(Line::Request),
-        "campaign_report" => decode_campaign_report(line).map(Line::CampaignReport),
-        "error" => decode_error(line).map(Line::Error),
+        "task" => task_of(&v).map(Line::Task),
+        "unit_telemetry" => unit_telemetry_of(&v).map(Line::UnitTelemetry),
+        "unit_done" => unit_done_of(&v).map(Line::UnitDone),
+        "request" => request_of(&v).map(Line::Request),
+        "campaign_report" => stats_of(field(&v, "stats")?).map(Line::CampaignReport),
+        "error" => error_of(&v).map(Line::Error),
         other => Err(WireError::Kind {
             found: other.to_string(),
         }),

@@ -87,6 +87,12 @@ use std::time::{Duration, Instant};
 /// How often the accept loop and idle readers poll for shutdown.
 const POLL: Duration = Duration::from_millis(25);
 
+/// Largest campaign size `n` a `request` line may ask for. The engines
+/// size an `n`-slot result buffer up front, so without a cap one request
+/// line could abort the server on allocation; a larger `n` is refused
+/// with a typed `protocol` error before it takes a campaign slot.
+pub const MAX_REQUEST_N: usize = 1 << 20;
+
 /// Locks a mutex, riding through poisoning (a panicking sibling thread
 /// must not turn into a second panic here).
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -509,6 +515,19 @@ fn handle_connection(stream: TcpStream, config: &ServeConfig, state: &ServerStat
                 return;
             }
         };
+        if req.n > MAX_REQUEST_N {
+            send_error(
+                &out,
+                &ErrorLine::new(
+                    ErrorCode::Protocol,
+                    format!(
+                        "request n = {} exceeds the server's limit of {MAX_REQUEST_N}",
+                        req.n
+                    ),
+                ),
+            );
+            return;
+        }
         if !state.try_admit(config.max_campaigns) {
             send_error(
                 &out,

@@ -8,7 +8,7 @@
 use rv_core::shard::{CampaignRequest, CampaignSpec, SolverSpec, TransportSpec};
 use rv_core::wire::{self, ErrorCode};
 use rv_model::TargetClass;
-use rv_serve::{Client, ServeConfig, Server, ShutdownHandle};
+use rv_serve::{Client, ServeConfig, Server, ShutdownHandle, MAX_REQUEST_N};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
@@ -143,6 +143,25 @@ fn second_campaign_spec_in_place_of_the_request_is_a_wire_error() {
         .expect("send");
     expect_error(raw, ErrorCode::Wire);
     assert_healthy(addr);
+    handle.shutdown();
+    join.join().expect("join");
+}
+
+#[test]
+fn oversized_n_is_a_protocol_error_before_admission() {
+    // An `n` of 10^12 asks the engine for a 48 TB result buffer, an
+    // allocation failure that aborts the process. It must be one typed
+    // error instead, with the server alive and its only slot still free.
+    let (addr, handle, join) = start();
+    for n in [MAX_REQUEST_N + 1, 1_000_000_000_000] {
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        let opener = wire::encode_campaign_spec(&spec(), 3);
+        let line = wire::encode_request(&request(n));
+        raw.write_all(format!("{opener}\n{line}\n").as_bytes())
+            .expect("send");
+        expect_error(raw, ErrorCode::Protocol);
+        assert_healthy(addr);
+    }
     handle.shutdown();
     join.join().expect("join");
 }
